@@ -57,6 +57,10 @@ struct IorRunner::JobState {
   std::uint64_t oid_base = 0;  // daos_array backend
   /// Snapshot epoch the read phase is pinned to (read_at_snapshot); 0 = none.
   vos::Epoch snapshot_epoch = 0;
+  /// Discard mode: the one transfer-sized read buffer every rank and every
+  /// in-flight op of the job shares. Only its size matters to the stack
+  /// below, so it is never zero-filled and its contents are never looked at.
+  std::unique_ptr<std::byte[]> read_sink;
 };
 
 IorRunner::IorRunner(cluster::Testbed& tb, std::uint32_t ppn, std::uint64_t chunk_size,
@@ -108,6 +112,9 @@ sim::CoTask<void> IorRunner::job_main(const IorConfig* cfg, IorResult* result) {
     DAOSIM_REQUIRE(mk2 == Errno::ok, "mkdir %s: %s", st->dir.c_str(), errno_name(mk2));
   }
   const int p = int(ranks());
+  if (cfg->do_read && tb_.config().payload == vos::PayloadMode::discard) {
+    st->read_sink = std::make_unique_for_overwrite<std::byte[]>(std::size_t(cfg->transfer_size));
+  }
   if (cfg->api == Api::mpiio && !cfg->file_per_process) {
     st->cfile = std::make_unique<mpiio::CollectiveFile>(*world_);
   }
@@ -441,11 +448,19 @@ sim::CoTask<void> IorRunner::rank_body(mpi::Comm comm, const IorConfig* cfg,
       for (std::uint32_t t = 0; t < transfers; ++t) {
         const std::uint64_t off = file_offset(target, seg, t);
         auto op = [&, off]() -> sim::CoTask<void> {
-          // Per-op sink (bounded by eq_depth); in discard mode the payload
-          // bytes never materialize, only the size matters.
-          std::vector<std::byte> rbuf(std::size_t(cfg->transfer_size));
+          // Store mode reads into a per-op buffer (bounded by eq_depth) and
+          // verifies it; in discard mode the payload bytes never materialize:
+          // every op reads into the job's shared sink, only the size matters.
+          std::vector<std::byte> rbuf;
+          std::span<std::byte> out;
+          if (store) {
+            rbuf.resize(std::size_t(cfg->transfer_size));
+            out = rbuf;
+          } else {
+            out = {st->read_sink.get(), std::size_t(cfg->transfer_size)};
+          }
           std::uint64_t filled = cfg->transfer_size;
-          auto n = co_await rf->read(off, rbuf);
+          auto n = co_await rf->read(off, out);
           if (!n.ok() && n.error() == Errno::data_loss) {
             // Every replica of the group is gone: count the event, read on.
             ++st->data_loss_errors;

@@ -86,35 +86,32 @@ sim::CoTask<Result<std::uint64_t>> CollectiveFile::size(mpi::Comm comm) {
 // ---------------------------------------------------------------------------
 // Two-phase collective I/O
 
+std::span<std::byte> CollectiveFile::stage_for(int me, std::uint64_t bytes) {
+  std::vector<std::byte>& stage = ranks_[std::size_t(me)].stage;
+  const std::size_t n = std::size_t(std::min(cfg_.cb_buffer_size, bytes));
+  if (stage.size() < n) stage.resize(n);
+  return std::span<std::byte>(stage).first(n);
+}
+
 sim::CoTask<void> CollectiveFile::shuffle_and_write(int me, std::uint64_t lo, std::uint64_t hi,
                                                     std::shared_ptr<Errno> status) {
-  // Phase 1: pull every contribution overlapping my file domain [lo, hi).
+  // Phase 1: charge the shuffle of every contribution overlapping my file
+  // domain [lo, hi) from the contributor's node to mine.
   auto& st = ranks_[std::size_t(me)];
-  const bool has_payload = std::any_of(pending_.begin(), pending_.end(),
-                                       [](const Contribution& c) { return !c.wdata.empty(); });
-  std::vector<std::byte> buf;
-  if (has_payload) buf.assign(std::size_t(hi - lo), std::byte{0});
-
   sim::WaitGroup wg(world_.scheduler());
   for (int r = 0; r < world_.size(); ++r) {
+    if (r == me) continue;
     const Contribution& c = pending_[std::size_t(r)];
     const std::uint64_t s = std::max(lo, c.offset);
     const std::uint64_t e = std::min(hi, c.offset + c.length);
-    if (s >= e) continue;
-    if (!c.wdata.empty()) {
-      std::copy_n(c.wdata.begin() + std::ptrdiff_t(s - c.offset), e - s,
-                  buf.begin() + std::ptrdiff_t(s - lo));
-    }
-    if (r != me) {
-      // Charge the shuffle transfer from the contributor's node to mine.
-      wg.spawn(world_.charge_transfer(r, me, e - s));
-    }
+    if (s < e) wg.spawn(world_.charge_transfer(r, me, e - s));
   }
   co_await wg.wait();
 
   // Phase 2: write only the union of contributed ranges (never the holes
   // between them — those may hold live data from earlier rounds), coalesced
-  // into cb_buffer_size pieces.
+  // into cb_buffer_size pieces, each gathered into the staging buffer just
+  // before it is written. Without payloads there is nothing to gather.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> runs;
   for (const auto& c : pending_) {
     const std::uint64_t s = std::max(lo, c.offset);
@@ -131,14 +128,28 @@ sim::CoTask<void> CollectiveFile::shuffle_and_write(int me, std::uint64_t lo, st
     }
   }
   runs.resize(kept);
+  const bool has_payload = std::any_of(pending_.begin(), pending_.end(),
+                                       [](const Contribution& c) { return !c.wdata.empty(); });
+  const std::span<std::byte> stage = has_payload ? stage_for(me, hi - lo) : std::span<std::byte>{};
   for (const auto& [rs, re] : runs) {
     std::uint64_t pos = rs;
     while (pos < re) {
       const std::uint64_t piece = std::min(cfg_.cb_buffer_size, re - pos);
       std::span<const std::byte> slice;
       if (has_payload) {
-        slice = std::span<const std::byte>(buf).subspan(std::size_t(pos - lo),
-                                                        std::size_t(piece));
+        // Later ranks win overlaps; a payload-less contribution reads as zeros.
+        for (const auto& c : pending_) {
+          const std::uint64_t s = std::max(pos, c.offset);
+          const std::uint64_t e = std::min(pos + piece, c.offset + c.length);
+          if (s >= e) continue;
+          const auto dst = stage.begin() + std::ptrdiff_t(s - pos);
+          if (c.wdata.empty()) {
+            std::fill_n(dst, e - s, std::byte{0});
+          } else {
+            std::copy_n(c.wdata.begin() + std::ptrdiff_t(s - c.offset), e - s, dst);
+          }
+        }
+        slice = stage.first(std::size_t(piece));
       }
       auto rc = co_await st.vfs->pwrite(st.fd, pos, piece, slice);
       if (!rc.ok()) *status = rc.error();
@@ -182,30 +193,32 @@ sim::CoTask<Result<std::uint64_t>> CollectiveFile::write_at_all(mpi::Comm comm,
 
 sim::CoTask<void> CollectiveFile::read_and_scatter(int me, std::uint64_t lo, std::uint64_t hi,
                                                    std::shared_ptr<Errno> status) {
+  // Read my whole file domain [lo, hi), holes included, one staged
+  // cb_buffer_size piece at a time, copying each piece out to its readers.
   auto& st = ranks_[std::size_t(me)];
-  std::vector<std::byte> buf(std::size_t(hi - lo));
+  const std::span<std::byte> stage = stage_for(me, hi - lo);
   std::uint64_t pos = lo;
   while (pos < hi) {
     const std::uint64_t piece = std::min(cfg_.cb_buffer_size, hi - pos);
-    auto rc = co_await st.vfs->pread(
-        st.fd, pos, std::span<std::byte>(buf).subspan(std::size_t(pos - lo), std::size_t(piece)));
+    auto rc = co_await st.vfs->pread(st.fd, pos, stage.first(std::size_t(piece)));
     if (!rc.ok()) *status = rc.error();
-    pos += piece;
-  }
-  // Scatter to contributors (copy + fabric charge).
-  sim::WaitGroup wg(world_.scheduler());
-  for (int r = 0; r < world_.size(); ++r) {
-    Contribution& c = pending_[std::size_t(r)];
-    const std::uint64_t s = std::max(lo, c.offset);
-    const std::uint64_t e = std::min(hi, c.offset + c.length);
-    if (s >= e) continue;
-    if (!c.rdata.empty()) {
-      std::copy_n(buf.begin() + std::ptrdiff_t(s - lo), e - s,
+    for (const auto& c : pending_) {
+      const std::uint64_t s = std::max(pos, c.offset);
+      const std::uint64_t e = std::min(pos + piece, c.offset + c.length);
+      if (s >= e || c.rdata.empty()) continue;
+      std::copy_n(stage.begin() + std::ptrdiff_t(s - pos), e - s,
                   c.rdata.begin() + std::ptrdiff_t(s - c.offset));
     }
-    if (r != me) {
-      wg.spawn(world_.charge_transfer(me, r, e - s));
-    }
+    pos += piece;
+  }
+  // Scatter to contributors: the fabric charge for each one's whole share.
+  sim::WaitGroup wg(world_.scheduler());
+  for (int r = 0; r < world_.size(); ++r) {
+    if (r == me) continue;
+    const Contribution& c = pending_[std::size_t(r)];
+    const std::uint64_t s = std::max(lo, c.offset);
+    const std::uint64_t e = std::min(hi, c.offset + c.length);
+    if (s < e) wg.spawn(world_.charge_transfer(me, r, e - s));
   }
   co_await wg.wait();
 }

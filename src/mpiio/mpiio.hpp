@@ -52,6 +52,10 @@ class CollectiveFile {
   struct RankState {
     posix::Vfs* vfs = nullptr;
     posix::Fd fd = -1;
+    /// Aggregator staging buffer (ROMIO's cb buffer), at most cb_buffer_size
+    /// bytes: two-phase I/O moves a file domain through it one piece at a
+    /// time. Kept across collective calls until close.
+    std::vector<std::byte> stage;
   };
   struct Contribution {
     std::uint64_t offset = 0;
@@ -63,6 +67,8 @@ class CollectiveFile {
   /// Ranks acting as aggregators: the lowest rank on each client node.
   bool is_aggregator(int rank) const;
   std::vector<int> aggregators() const;
+  /// Rank `me`'s staging buffer, large enough for any piece of a `bytes`-long domain.
+  std::span<std::byte> stage_for(int me, std::uint64_t bytes);
   sim::CoTask<void> shuffle_and_write(int me, std::uint64_t lo, std::uint64_t hi,
                                       std::shared_ptr<Errno> status);
   sim::CoTask<void> read_and_scatter(int me, std::uint64_t lo, std::uint64_t hi,

@@ -241,6 +241,71 @@ TEST(Ior, EqDepthPipelinesTransfersAndVerifies) {
   EXPECT_LE(eq4.read.seconds, eq1.read.seconds);
 }
 
+TEST(Ior, PayloadModeIsHostOnly) {
+  // Payload bytes are host-side state only: storing (and verifying) them or
+  // discarding them must not move a single simulated event. Covers every
+  // backend, both HDF5 drivers, independent and collective MPI-IO, and a
+  // pipelined case whose in-flight reads share the discard-mode sink.
+  struct Case {
+    const char* name;
+    Api api;
+    bool fpp;
+    bool collective;
+    std::uint32_t eq_depth;
+  };
+  const Case cases[] = {
+      {"posix", Api::posix, true, false, 1},
+      {"dfs", Api::dfs, true, false, 1},
+      {"dfs_eq4", Api::dfs, true, false, 4},
+      {"hdf5_easy", Api::hdf5, true, false, 1},
+      {"hdf5_hard", Api::hdf5, false, false, 1},
+      {"mpiio_independent", Api::mpiio, false, false, 1},
+      {"mpiio_collective", Api::mpiio, false, true, 1},
+      {"daos_array", Api::daos_array, false, false, 1},
+  };
+  struct Run {
+    IorResult res;
+    std::uint64_t events;
+    std::uint64_t hash;
+  };
+  auto run = [](const Case& c, vos::PayloadMode mode) {
+    auto ccfg = small_cluster();
+    ccfg.payload = mode;
+    Testbed tb(ccfg);
+    tb.start();
+    IorRunner runner(tb, /*ppn=*/4);
+    IorConfig cfg = small_job(c.api, c.fpp);
+    cfg.collective = c.collective;
+    cfg.eq_depth = c.eq_depth;
+    cfg.verify = mode == vos::PayloadMode::store;
+    Run r{runner.run(cfg), tb.sched().events_processed(), tb.sched().trace_hash()};
+    tb.stop();
+    return r;
+  };
+  auto expect_same_latency = [](const telemetry::DurationHistogram::State& a,
+                                const telemetry::DurationHistogram::State& b,
+                                const std::string& what) {
+    EXPECT_EQ(a.count, b.count) << what;
+    EXPECT_EQ(a.sum_ns, b.sum_ns) << what;
+    EXPECT_EQ(a.buckets, b.buckets) << what;
+  };
+  for (const Case& c : cases) {
+    const Run store = run(c, vos::PayloadMode::store);
+    const Run discard = run(c, vos::PayloadMode::discard);
+    EXPECT_EQ(store.res.verify_errors, 0u) << c.name;
+    EXPECT_EQ(store.res.read_fill_errors, 0u) << c.name;
+    EXPECT_EQ(discard.res.read_fill_errors, 0u) << c.name;
+    EXPECT_EQ(store.res.write.seconds, discard.res.write.seconds) << c.name;
+    EXPECT_EQ(store.res.read.seconds, discard.res.read.seconds) << c.name;
+    expect_same_latency(store.res.write_rpc_latency, discard.res.write_rpc_latency,
+                        std::string(c.name) + " write");
+    expect_same_latency(store.res.read_rpc_latency, discard.res.read_rpc_latency,
+                        std::string(c.name) + " read");
+    EXPECT_EQ(store.events, discard.events) << c.name;
+    EXPECT_EQ(store.hash, discard.hash) << c.name;
+  }
+}
+
 TEST(Ior, PatternHelpersRoundTrip) {
   std::vector<std::byte> buf(4096);
   fill_pattern(buf, 777, 42);

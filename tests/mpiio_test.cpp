@@ -131,6 +131,66 @@ TEST(MpiIo, CollectiveInterleavedStrides) {
   w.sched.run();
 }
 
+TEST(MpiIo, TwoPhaseAcrossManyCbPieces) {
+  // A 4 KiB cb buffer against ~24 KB file domains: every aggregator stages
+  // its domain in six pieces. Each 5000-byte contribution straddles a piece
+  // boundary and is followed by a 1000-byte hole that an earlier independent
+  // write filled; the collective write must leave the holes alone and the
+  // collective read must reassemble every contribution.
+  World w(2, 4);
+  MpiIoConfig mcfg;
+  mcfg.cb_buffer_size = 4 * 1024;
+  CollectiveFile cf(*w.world, mcfg);
+  const std::uint64_t stride = 6000, len = 5000;
+  const int rounds = 2;
+  const std::uint64_t file_bytes = stride * 8 * rounds;
+  w.sched.spawn([&]() -> CoTask<void> {
+    std::function<CoTask<void>(mpi::Comm)> body = [&](mpi::Comm c) -> CoTask<void> {
+      posix::VfsOpenFlags flags;
+      flags.create = true;
+      CO_ASSERT_ERRNO(co_await cf.open(c, w.vfs, "/pieces", flags), Errno::ok);
+      if (c.rank() == 0) {
+        std::vector<std::byte> fill(file_bytes);
+        ior::fill_pattern(fill, 0, 77);
+        auto wres = co_await cf.write_at(c, 0, file_bytes, fill);
+        CO_ASSERT_OK(wres);
+      }
+      co_await c.barrier();
+      auto off_of = [&](int k) {
+        return (std::uint64_t(k) * std::uint64_t(c.size()) + std::uint64_t(c.rank())) * stride;
+      };
+      for (int k = 0; k < rounds; ++k) {
+        std::vector<std::byte> data(len);
+        ior::fill_pattern(data, off_of(k), 5);
+        auto wres = co_await cf.write_at_all(c, off_of(k), len, data);
+        CO_ASSERT_OK(wres);
+      }
+      for (int k = 0; k < rounds; ++k) {
+        std::vector<std::byte> out(len);
+        auto rres = co_await cf.read_at_all(c, off_of(k), out);
+        CO_ASSERT_OK(rres);
+        CO_ASSERT_EQ(*rres, len);
+        CO_ASSERT_EQ(ior::check_pattern(out, off_of(k), 5), 0u);
+      }
+      co_await c.barrier();
+      if (c.rank() == 0) {
+        std::vector<std::byte> image(file_bytes);
+        auto rres = co_await cf.read_at(c, 0, image);
+        CO_ASSERT_OK(rres);
+        const std::span<const std::byte> all(image);
+        for (std::uint64_t off = 0; off < file_bytes; off += stride) {
+          CO_ASSERT_EQ(ior::check_pattern(all.subspan(off, len), off, 5), 0u);
+          CO_ASSERT_EQ(ior::check_pattern(all.subspan(off + len, stride - len), off + len, 77),
+                       0u);
+        }
+      }
+      CO_ASSERT_ERRNO(co_await cf.close(c), Errno::ok);
+    };
+    co_await w.world->run_spmd(std::move(body));
+  });
+  w.sched.run();
+}
+
 TEST(MpiIo, SizeReflectsWrites) {
   World w(1, 2);
   CollectiveFile cf(*w.world);
