@@ -119,6 +119,27 @@ void BM_ArrayStoreReadResolve(benchmark::State& state) {
 }
 BENCHMARK(BM_ArrayStoreReadResolve);
 
+// Store mode, steady state of the overwrite workload: a 64 KiB segment that
+// aggregation flattened takes sixteen sequential 4 KiB overwrites (each one
+// splits it), then aggregation flattens it again.
+void BM_ArrayStoreSequentialOverwrite(benchmark::State& state) {
+  constexpr std::uint64_t kChunk = 64 * 1024, kOp = 4096;
+  vos::ArrayStore a;
+  std::vector<std::byte> chunk(kChunk, std::byte{1}), op(kOp, std::byte{2});
+  vos::Epoch e = 1;
+  a.write(0, kChunk, chunk, e, vos::PayloadMode::store);
+  a.aggregate(e, vos::PayloadMode::store);
+  for (auto _ : state) {
+    for (std::uint64_t off = 0; off < kChunk; off += kOp) {
+      a.write(off, kOp, op, ++e, vos::PayloadMode::store);
+    }
+    benchmark::DoNotOptimize(a.aggregate(e, vos::PayloadMode::store));
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()) * std::int64_t(kChunk / kOp));
+  state.SetBytesProcessed(std::int64_t(state.iterations()) * std::int64_t(kChunk));
+}
+BENCHMARK(BM_ArrayStoreSequentialOverwrite);
+
 void BM_SchedulerEventThroughput(benchmark::State& state) {
   for (auto _ : state) {
     sim::Scheduler s;

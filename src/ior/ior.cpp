@@ -30,10 +30,16 @@ void fill_pattern(std::span<std::byte> buf, std::uint64_t file_offset, std::uint
 std::uint64_t check_pattern(std::span<const std::byte> buf, std::uint64_t file_offset,
                             std::uint64_t seed) {
   std::uint64_t bad = 0;
-  for (std::size_t i = 0; i < buf.size(); i += 8) {
-    const std::uint64_t word = mix64((file_offset + i) ^ seed);
-    const std::size_t n = std::min<std::size_t>(8, buf.size() - i);
-    if (std::memcmp(buf.data() + i, &word, n) != 0) bad += n;
+  const std::size_t whole = buf.size() & ~std::size_t{7};
+  for (std::size_t i = 0; i < whole; i += 8) {
+    std::uint64_t got;  // fill_pattern stored the word in native byte order
+    std::memcpy(&got, buf.data() + i, 8);
+    if (got != mix64((file_offset + i) ^ seed)) bad += 8;
+  }
+  if (whole < buf.size()) {
+    const std::uint64_t word = mix64((file_offset + whole) ^ seed);
+    const std::size_t n = buf.size() - whole;
+    if (std::memcmp(buf.data() + whole, &word, n) != 0) bad += n;
   }
   return bad;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/error.hpp"
 
@@ -78,13 +79,8 @@ void ArrayStore::split_at(std::uint64_t x) {
   Segment right;
   right.length = s.length - left_len;
   right.versions.reserve(s.versions.size());
-  for (auto& v : s.versions) {
-    Version rv{v.epoch, v.seq, v.punch, {}};
-    if (!v.data.empty()) {
-      rv.data.assign(v.data.begin() + std::ptrdiff_t(left_len), v.data.end());
-      v.data.resize(left_len);
-    }
-    right.versions.push_back(std::move(rv));
+  for (const auto& v : s.versions) {
+    right.versions.push_back(Version{v.epoch, v.seq, v.punch, v.buf, v.off + left_len});
   }
   s.length = left_len;
   segs_.emplace_hint(std::next(it), x, std::move(right));
@@ -110,19 +106,17 @@ void ArrayStore::apply_range(std::uint64_t offset, std::uint64_t length,
   const std::uint64_t end = offset + length;
   split_at(end);
   const std::uint64_t seq = seq_++;
+  // The write's one copy: every segment it covers slices this buffer.
+  std::shared_ptr<const Payload> buf;
+  if (payload) buf = std::make_shared<const Payload>(data.begin(), data.end());
   std::uint64_t pos = offset;
   auto it = segs_.lower_bound(offset);
   while (pos < end) {
     if (it != segs_.end() && it->first == pos) {
       // Existing segment, fully inside [offset, end) after the splits.
       Segment& s = it->second;
-      Version v{epoch, seq, punch, {}};
-      if (payload) {
-        const auto* src = data.data() + (pos - offset);
-        v.data.assign(src, src + s.length);
-        stored_bytes_ += s.length;
-      }
-      insert_version(s, std::move(v));
+      if (payload) stored_bytes_ += s.length;
+      insert_version(s, Version{epoch, seq, punch, buf, pos - offset});
       pos += s.length;
       ++it;
     } else {
@@ -131,13 +125,8 @@ void ArrayStore::apply_range(std::uint64_t offset, std::uint64_t length,
           it == segs_.end() ? end : std::min<std::uint64_t>(end, it->first);
       Segment s;
       s.length = next - pos;
-      Version v{epoch, seq, punch, {}};
-      if (payload) {
-        const auto* src = data.data() + (pos - offset);
-        v.data.assign(src, src + s.length);
-        stored_bytes_ += s.length;
-      }
-      s.versions.push_back(std::move(v));
+      if (payload) stored_bytes_ += s.length;
+      s.versions.push_back(Version{epoch, seq, punch, buf, pos - offset});
       it = std::next(segs_.emplace_hint(it, pos, std::move(s)));
       pos = next;
     }
@@ -177,19 +166,23 @@ const ArrayStore::Version* ArrayStore::newest_at(const Segment& s, Epoch epoch) 
 
 std::uint64_t ArrayStore::read(std::uint64_t offset, std::span<std::byte> out,
                                Epoch epoch) const {
-  std::vector<bool> filled;
-  return read_masked(offset, out, filled, epoch);
+  return resolve(offset, out, nullptr, epoch);
 }
 
 std::uint64_t ArrayStore::read_masked(std::uint64_t offset, std::span<std::byte> out,
                                       std::vector<bool>& filled, Epoch epoch) const {
-  std::fill(out.begin(), out.end(), std::byte{0});
   filled.assign(out.size(), false);
+  return resolve(offset, out, &filled, epoch);
+}
+
+std::uint64_t ArrayStore::resolve(std::uint64_t offset, std::span<std::byte> out,
+                                  std::vector<bool>* mask, Epoch epoch) const {
   if (out.empty()) return 0;
   const Epoch floor = last_full_punch_at(epoch);
   const std::uint64_t end = offset + out.size();
   std::uint64_t probes = 1;  // the ordered-index seek
   std::uint64_t count = 0;
+  std::size_t written = 0;  // out[0, written) holds its final bytes
 
   auto it = segs_.upper_bound(offset);
   if (it != segs_.begin()) --it;  // predecessor may extend into the range
@@ -202,13 +195,22 @@ std::uint64_t ArrayStore::read_masked(std::uint64_t offset, std::span<std::byte>
     probes += 1 + std::uint64_t(std::bit_width(s.versions.size()));
     const Version* v = newest_at(s, epoch);
     if (v == nullptr || v->epoch <= floor || v->punch) continue;
-    for (std::uint64_t b = lo; b < hi; ++b) {
-      const std::size_t oi = std::size_t(b - offset);
-      out[oi] = v->data.empty() ? std::byte{0} : v->data[std::size_t(b - start)];
-      filled[oi] = true;
+    // Segments ascend, so [written, a) is a hole before this visible range.
+    const std::size_t a = std::size_t(lo - offset);
+    const std::size_t n = std::size_t(hi - lo);
+    std::memset(out.data() + written, 0, a - written);
+    if (v->buf != nullptr) {
+      std::memcpy(out.data() + a, v->buf->data() + v->off + (lo - start), n);
+    } else {
+      std::memset(out.data() + a, 0, n);
     }
-    count += hi - lo;
+    written = a + n;
+    if (mask != nullptr) {
+      std::fill(mask->begin() + std::ptrdiff_t(a), mask->begin() + std::ptrdiff_t(written), true);
+    }
+    count += n;
   }
+  std::memset(out.data() + written, 0, out.size() - written);
   if (probes_ != nullptr) *probes_ += probes;
   return count;
 }
@@ -232,7 +234,8 @@ void ArrayStore::mask_newer_than(std::uint64_t offset, Epoch since,
     // The segment's newest version is versions.back(); every version spans
     // the whole segment, so one comparison decides all its bytes.
     if (it->second.versions.back().epoch <= since) continue;
-    for (std::uint64_t b = lo; b < hi; ++b) mask[std::size_t(b - offset)] = true;
+    std::fill(mask.begin() + std::ptrdiff_t(lo - offset),
+              mask.begin() + std::ptrdiff_t(hi - offset), true);
   }
   if (probes_ != nullptr) *probes_ += probes;
 }
@@ -291,9 +294,10 @@ ArrayStore::AggResult ArrayStore::aggregate(Epoch upto, PayloadMode mode) {
       if (&*v == top) {
         kept.push_back(std::move(*v));
       } else {
+        const std::uint64_t held = v->buf != nullptr ? s.length : 0;
         ++res.extents_retired;
-        res.bytes_flattened += v->data.size();
-        stored_bytes_ -= v->data.size();
+        res.bytes_flattened += held;
+        stored_bytes_ -= held;
       }
     }
     for (auto v = above; v != s.versions.end(); ++v) kept.push_back(std::move(*v));
@@ -301,30 +305,50 @@ ArrayStore::AggResult ArrayStore::aggregate(Epoch upto, PayloadMode mode) {
     it = s.versions.empty() ? segs_.erase(it) : std::next(it);
   }
 
-  // Pass 2 — coalesce adjacent fully-aggregated segments: contiguous,
-  // single-version, epoch <= upto, matching payload-ness. The merged record
-  // takes the max (epoch, seq) of the run — never above a real write, so
-  // latest_epoch()/mask_newer_than() stay exact for everything above `upto`.
-  for (auto it = segs_.begin(); it != segs_.end();) {
-    auto next = std::next(it);
-    if (next == segs_.end()) break;
-    Segment& a = it->second;
-    Segment& b = next->second;
-    if (it->first + a.length == next->first && a.versions.size() == 1 &&
-        b.versions.size() == 1 && a.versions[0].epoch <= upto &&
-        b.versions[0].epoch <= upto && !a.versions[0].punch && !b.versions[0].punch &&
-        a.versions[0].data.empty() == b.versions[0].data.empty()) {
-      Version& va = a.versions[0];
-      Version& vb = b.versions[0];
+  // Pass 2 — coalesce each run of adjacent fully-aggregated segments:
+  // contiguous, single-version, epoch <= upto, matching payload-ness. The
+  // merged record takes the max (epoch, seq) of the run — never above a real
+  // write, so latest_epoch()/mask_newer_than() stay exact for everything
+  // above `upto`.
+  const auto flat = [upto](const Segment& s) {
+    return s.versions.size() == 1 && s.versions[0].epoch <= upto && !s.versions[0].punch;
+  };
+  for (auto it = segs_.begin(); it != segs_.end(); ++it) {
+    if (!flat(it->second)) continue;
+    Version& va = it->second.versions[0];
+    std::uint64_t length = it->second.length;
+    std::size_t pieces = 1;
+    bool one_slice = true;  // the run is one contiguous slice of va.buf
+    auto last = std::next(it);
+    for (; last != segs_.end() && it->first + length == last->first && flat(last->second) &&
+           (last->second.versions[0].buf == nullptr) == (va.buf == nullptr);
+         ++last, ++pieces) {
+      const Version& vb = last->second.versions[0];
+      one_slice = one_slice && vb.buf == va.buf && vb.off == va.off + length;
       va.epoch = std::max(va.epoch, vb.epoch);
       va.seq = std::max(va.seq, vb.seq);
-      if (!va.data.empty()) va.data.insert(va.data.end(), vb.data.begin(), vb.data.end());
-      a.length += b.length;
-      ++res.extents_retired;
-      segs_.erase(next);
-      continue;  // keep extending the same run
+      length += last->second.length;
     }
-    it = next;
+    // A run that is one slice just widens. Any other payload run is copied
+    // once into a buffer of its own; so is a lone slice whose buffer nothing
+    // else references, since the bytes outside it can never be read again.
+    // Buffers are immutable, so neither case writes bytes a live version reads.
+    if (va.buf != nullptr &&
+        !(one_slice && ((va.off == 0 && va.buf->size() == length) ||
+                        va.buf.use_count() > long(pieces)))) {
+      auto merged = std::make_shared<Payload>();
+      merged->reserve(std::size_t(length));
+      for (auto p = it; p != last; ++p) {
+        const Version& v = p->second.versions[0];
+        const auto* src = v.buf->data() + v.off;
+        merged->insert(merged->end(), src, src + p->second.length);
+      }
+      va.buf = std::move(merged);
+      va.off = 0;
+    }
+    it->second.length = length;
+    res.extents_retired += pieces - 1;
+    segs_.erase(std::next(it), last);
   }
 
   // Full punches <= upto are baked into the surviving records.

@@ -7,12 +7,15 @@
 // interval index (see docs/vos.md): non-overlapping byte segments keyed by
 // start offset, each holding an epoch-sorted version stack, so visibility
 // resolution costs O(log segments + overlapped segments * log versions)
-// instead of a whole-history overlay scan.
+// instead of a whole-history overlay scan. In store mode each write copies
+// its bytes once into a buffer that all of its segments slice, so splits
+// move no bytes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -123,11 +126,17 @@ class ArrayStore {
   void bind_probe_counter(std::uint64_t* probes) { probes_ = probes; }
 
  private:
+  /// One write's payload, copied in once and never modified afterwards.
+  using Payload = std::vector<std::byte>;
   struct Version {
     Epoch epoch = 0;
     std::uint64_t seq = 0;  // arrival order among equal epochs (per store)
     bool punch = false;     // range punch: reads as hole above older data
-    std::vector<std::byte> data;  // empty, or exactly segment-length bytes
+    /// Payload slice: bytes [off, off + segment length) of `buf`, which the
+    /// other segments of the same write share. Null when the version carries
+    /// no payload (punches, discard mode): it then reads as zeros.
+    std::shared_ptr<const Payload> buf;
+    std::uint64_t off = 0;
   };
   /// One byte range [start, start+length) with its epoch-sorted version
   /// stack. Every version spans the whole segment: writes split segments at
@@ -139,8 +148,14 @@ class ArrayStore {
   };
 
   /// Splits the segment containing offset `x` (if any) so `x` becomes a
-  /// segment boundary; version payloads are sliced, conserving byte totals.
+  /// segment boundary. Payload slices are re-cut, never copied: O(versions).
   void split_at(std::uint64_t x);
+  /// The one read kernel behind read() and read_masked(): per overlapped
+  /// segment one index step, one memcpy (or memset for holes) and, when
+  /// `mask` is non-null, one ranged mask fill. `mask` must already hold
+  /// out.size() cleared bits.
+  std::uint64_t resolve(std::uint64_t offset, std::span<std::byte> out,
+                        std::vector<bool>* mask, Epoch epoch) const;
   /// Common write/punch path: stacks one version over [offset, offset+length).
   void apply_range(std::uint64_t offset, std::uint64_t length,
                    std::span<const std::byte> data, Epoch epoch, bool punch, bool payload);

@@ -1,10 +1,13 @@
 // Property tests for the evtree ArrayStore against a flat op-list oracle:
 // randomized write / range-punch / full-punch / below-top-commit sequences
 // must read byte-identically (data, fill mask, newer-than mask, size) at
-// every sampled epoch, before and after aggregation points. Also pins the
+// every sampled epoch and over random sub-windows, through read() and
+// read_masked() alike, before and after aggregation points, while every
+// caller write buffer is scribbled right after its write. Also pins the
 // equal-epoch arrival-order rule (DTX below-top commits), the exactness of
-// the AggResult accounting, and the probe-counter depth signal the
-// endurance bench watches.
+// the AggResult accounting, payload slices shared across splits and
+// coalescing, and the probe-counter depth signal the endurance bench
+// watches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -107,20 +110,55 @@ std::vector<std::byte> payload_of(const Op& o) {
   return d;
 }
 
-void check_view(const ArrayStore& a, const FlatOracle& oracle, Epoch e, const char* where) {
+// Writes `o` from a caller buffer that is scribbled as soon as write()
+// returns: the store must hold its own copy of the bytes.
+void write_op(ArrayStore& a, const Op& o) {
+  std::vector<std::byte> d = payload_of(o);
+  a.write(o.off, o.len, d, o.epoch, PayloadMode::store);
+  std::fill(d.begin(), d.end(), std::byte{0xEE});
+}
+
+// Reads [lo, hi) at `e` through read_masked() and read(), into buffers
+// pre-filled with garbage so every byte must be written: data, fill mask and
+// fill count must match the oracle image (zero and unfilled past its end),
+// and read() must return exactly what read_masked() does.
+void check_window(const ArrayStore& a, const std::vector<std::uint8_t>& want_img,
+                  const std::vector<bool>& want_fill, std::uint64_t lo, std::uint64_t hi,
+                  Epoch e, const char* where) {
+  std::vector<std::byte> out(hi - lo, std::byte{0xCD});
+  std::vector<bool> got_fill(3, true);  // read_masked must resize and clear it
+  const std::uint64_t filled = a.read_masked(lo, out, got_fill, e);
+  ASSERT_EQ(got_fill.size(), out.size()) << where;
+  std::uint64_t want_count = 0;
+  for (std::uint64_t b = lo; b < hi; ++b) {
+    const bool in = b < want_img.size();
+    const std::uint8_t img = in ? want_img[b] : 0;
+    const bool fill = in && want_fill[b];
+    ASSERT_EQ(std::uint8_t(out[b - lo]), img)
+        << where << " epoch " << e << " window [" << lo << ", " << hi << ") byte " << b;
+    ASSERT_EQ(got_fill[b - lo], fill)
+        << where << " epoch " << e << " window [" << lo << ", " << hi << ") fill bit " << b;
+    want_count += fill;
+  }
+  ASSERT_EQ(filled, want_count) << where << " epoch " << e << " window [" << lo << ", " << hi
+                                << ")";
+  std::vector<std::byte> plain(hi - lo, std::byte{0x5A});
+  ASSERT_EQ(a.read(lo, plain, e), filled) << where << " epoch " << e << " read() count";
+  ASSERT_TRUE(plain == out) << where << " epoch " << e << " read() != read_masked()";
+}
+
+// The whole space plus random sub-windows (some running past its end).
+void check_view(const ArrayStore& a, const FlatOracle& oracle, Epoch e, const char* where,
+                sim::Xoshiro256& rng) {
   std::vector<std::uint8_t> want_img;
   std::vector<bool> want_fill;
   oracle.read(e, want_img, want_fill);
-  std::vector<std::byte> out(oracle.space);
-  std::vector<bool> got_fill;
-  const std::uint64_t filled = a.read_masked(0, out, got_fill, e);
-  std::uint64_t want_count = 0;
-  for (std::uint64_t b = 0; b < oracle.space; ++b) {
-    ASSERT_EQ(std::uint8_t(out[b]), want_img[b]) << where << " epoch " << e << " byte " << b;
-    ASSERT_EQ(got_fill[b], want_fill[b]) << where << " epoch " << e << " fill bit " << b;
-    want_count += want_fill[b];
+  check_window(a, want_img, want_fill, 0, oracle.space, e, where);
+  for (int i = 0; i < 6; ++i) {
+    const std::uint64_t lo = rng.uniform(oracle.space);
+    const std::uint64_t hi = lo + 1 + rng.uniform(oracle.space + 16 - lo);
+    check_window(a, want_img, want_fill, lo, hi, e, where);
   }
-  ASSERT_EQ(filled, want_count) << where << " epoch " << e;
   ASSERT_EQ(a.size(e), oracle.size(e)) << where << " epoch " << e;
 }
 
@@ -137,6 +175,7 @@ class EvtreeOracleProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EvtreeOracleProperty, RandomOpsMatchFlatOracle) {
   sim::Xoshiro256 rng(GetParam() * 0x9E3779B97F4A7C15ULL + 7);
+  sim::Xoshiro256 windows(GetParam() + 0x57AB);  // own stream: each seed keeps its op sequence
   const std::uint64_t space = 256;
   ArrayStore a;
   FlatOracle oracle{space, {}, {}};
@@ -177,13 +216,13 @@ TEST_P(EvtreeOracleProperty, RandomOpsMatchFlatOracle) {
     } else {
       Op o{rng.uniform(space - 1), 0, e, false, std::uint8_t(rng.uniform(256))};
       o.len = 1 + rng.uniform(std::min<std::uint64_t>(48, space - o.off));
-      a.write(o.off, o.len, payload_of(o), o.epoch, PayloadMode::store);
+      write_op(a, o);
       oracle.ops.push_back(o);
     }
 
     if (step == 40 || step == 80 || step == 100) {
       sample_epochs(epochs);
-      for (Epoch q : epochs) check_view(a, oracle, q, "pre-agg");
+      for (Epoch q : epochs) check_view(a, oracle, q, "pre-agg", windows);
       check_mask(a, oracle, agg_floor, "pre-agg");
       check_mask(a, oracle, top, "pre-agg");
       check_mask(a, oracle, agg_floor + (top - agg_floor) / 2, "pre-agg");
@@ -199,7 +238,7 @@ TEST_P(EvtreeOracleProperty, RandomOpsMatchFlatOracle) {
         // Every view at or above the aggregation point is preserved.
         sample_epochs(epochs);
         for (Epoch q : epochs) {
-          if (q >= agg_floor) check_view(a, oracle, q, "post-agg");
+          if (q >= agg_floor) check_view(a, oracle, q, "post-agg", windows);
         }
         check_mask(a, oracle, agg_floor, "post-agg");
         check_mask(a, oracle, top, "post-agg");
@@ -219,8 +258,8 @@ TEST_P(EvtreeOracleProperty, RandomOpsMatchFlatOracle) {
   oracle.read(top, img, fill);
   const std::uint64_t visible = std::uint64_t(std::count(fill.begin(), fill.end(), true));
   ASSERT_EQ(a.stored_bytes(), visible);
-  check_view(a, oracle, top, "final");
-  check_view(a, oracle, kEpochMax, "final");
+  check_view(a, oracle, top, "final", windows);
+  check_view(a, oracle, kEpochMax, "final", windows);
   const ArrayStore::AggResult again = a.aggregate(top, PayloadMode::store);
   ASSERT_EQ(again.extents_retired, 0u);
   ASSERT_EQ(again.bytes_flattened, 0u);
@@ -277,6 +316,109 @@ TEST(EvtreeDiscard, MasksAndSizesWithoutPayload) {
   for (Epoch e : std::vector<Epoch>{Epoch(top / 2), top, kEpochMax}) {
     ASSERT_EQ(a.size(e), oracle.size(e)) << "post-agg epoch " << e;
   }
+}
+
+// After aggregation flattens a 64 KiB chunk into one segment, sixteen
+// sequential 4 KiB overwrites split it sixteen times. Every epoch must read
+// oracle-exact, and stored_bytes() must follow AggResult exactly.
+TEST(EvtreePayload, SequentialOverwriteOfAggregatedSegment) {
+  constexpr std::uint64_t kChunk = 64 * 1024, kOp = 4096;
+  sim::Xoshiro256 windows(64);
+  ArrayStore a;
+  FlatOracle oracle{kChunk, {}, {}};
+  const Op base{0, kChunk, 1, false, 0x31};
+  write_op(a, base);
+  oracle.ops.push_back(base);
+  ArrayStore::AggResult r = a.aggregate(1, PayloadMode::store);
+  oracle.agg = 1;
+  EXPECT_EQ(r.extents_retired, 0u);
+  EXPECT_EQ(a.segment_count(), 1u);
+  EXPECT_EQ(a.stored_bytes(), kChunk);
+
+  for (std::uint64_t i = 0; i < kChunk / kOp; ++i) {
+    const Op o{i * kOp, kOp, Epoch(2 + i), false, std::uint8_t(0x40 + i)};
+    write_op(a, o);
+    oracle.ops.push_back(o);
+  }
+  EXPECT_EQ(a.segment_count(), kChunk / kOp);
+  EXPECT_EQ(a.stored_bytes(), 2 * kChunk);
+  for (Epoch e = 1; e <= 17; ++e) check_view(a, oracle, e, "overwritten", windows);
+
+  // Midpoint: the first eight 4 KiB segments drop the base slice and
+  // coalesce, copied out of eight write buffers into one; the last eight keep
+  // the base slice under their pending overwrite.
+  std::uint64_t stored = a.stored_bytes();
+  std::size_t extents = a.extent_count();
+  r = a.aggregate(9, PayloadMode::store);
+  oracle.agg = 9;
+  EXPECT_EQ(r.bytes_flattened, 8 * kOp);
+  EXPECT_EQ(r.extents_retired, 8u + 7u);
+  EXPECT_EQ(extents - a.extent_count(), r.extents_retired);
+  EXPECT_EQ(a.stored_bytes(), stored - r.bytes_flattened);
+  EXPECT_EQ(a.segment_count(), 1u + 8u);
+  for (Epoch e = 9; e <= 17; ++e) check_view(a, oracle, e, "midpoint", windows);
+  check_view(a, oracle, kEpochMax, "midpoint", windows);
+  check_mask(a, oracle, 9, "midpoint");
+
+  // The rest: one segment holding exactly the chunk again.
+  stored = a.stored_bytes();
+  extents = a.extent_count();
+  r = a.aggregate(17, PayloadMode::store);
+  oracle.agg = 17;
+  EXPECT_EQ(r.bytes_flattened, 8 * kOp);
+  EXPECT_EQ(r.extents_retired, 8u + 8u);
+  EXPECT_EQ(extents - a.extent_count(), r.extents_retired);
+  EXPECT_EQ(a.stored_bytes(), stored - r.bytes_flattened);
+  EXPECT_EQ(a.stored_bytes(), kChunk);
+  EXPECT_EQ(a.segment_count(), 1u);
+  check_view(a, oracle, 17, "flat", windows);
+  check_view(a, oracle, kEpochMax, "flat", windows);
+}
+
+// Coalescing beside a version that still slices the same write buffer: the
+// run is copied into a buffer of its own, and the neighbouring slice keeps
+// reading the original write at every epoch it is visible. A lone surviving
+// slice of a mostly punched write reads the same after aggregation.
+TEST(EvtreePayload, CoalesceBesideLiveSliceOfSameBuffer) {
+  constexpr std::uint64_t kChunk = 64 * 1024;
+  sim::Xoshiro256 windows(65);
+  ArrayStore a;
+  FlatOracle oracle{kChunk, {}, {}};
+  for (const Op& o : {Op{0, kChunk, 1, false, 0x11},            // A
+                      Op{8 * 1024, 4096, 2, false, 0x22},       // B splits A
+                      Op{32 * 1024, 4096, 3, false, 0x33}}) {   // C over a slice of A
+    write_op(a, o);
+    oracle.ops.push_back(o);
+  }
+  for (Epoch e = 1; e <= 3; ++e) check_view(a, oracle, e, "written", windows);
+
+  // At 2, [0, 32K) = A|B|A coalesces; [32K, 36K) keeps A's slice under C,
+  // and [36K, 64K) stays a slice of A beside it.
+  auto aggregate_to = [&](Epoch upto, std::uint64_t flattened, std::uint64_t retired,
+                          std::size_t segments) {
+    const std::uint64_t stored = a.stored_bytes();
+    const ArrayStore::AggResult r = a.aggregate(upto, PayloadMode::store);
+    oracle.agg = upto;
+    EXPECT_EQ(r.bytes_flattened, flattened) << "upto " << upto;
+    EXPECT_EQ(r.extents_retired, retired) << "upto " << upto;
+    EXPECT_EQ(a.stored_bytes(), stored - r.bytes_flattened) << "upto " << upto;
+    EXPECT_EQ(a.segment_count(), segments) << "upto " << upto;
+  };
+  aggregate_to(2, 4096, 1 + 2, 3);
+  for (Epoch e : {Epoch(2), Epoch(3), kEpochMax}) check_view(a, oracle, e, "agg 2", windows);
+  check_mask(a, oracle, 2, "agg 2");
+
+  aggregate_to(3, 4096, 1 + 2, 1);
+  for (Epoch e : {Epoch(3), kEpochMax}) check_view(a, oracle, e, "agg 3", windows);
+  EXPECT_EQ(a.stored_bytes(), kChunk);
+
+  // Punch all but the first 4 KiB: the survivor is a lone slice.
+  const Op punch{4096, kChunk - 4096, 4, true, 0};
+  a.punch_range(punch.off, punch.len, punch.epoch);
+  oracle.ops.push_back(punch);
+  aggregate_to(4, kChunk - 4096, 2, 1);
+  for (Epoch e : {Epoch(4), kEpochMax}) check_view(a, oracle, e, "agg 4", windows);
+  EXPECT_EQ(a.stored_bytes(), 4096u);
 }
 
 // Equal epochs resolve by arrival order — the rule a DTX commit below the

@@ -314,5 +314,26 @@ TEST(Ior, PatternHelpersRoundTrip) {
   EXPECT_GT(check_pattern(buf, 777, 43), 0u);
 }
 
+// check_pattern counts whole 8-byte pattern words: a flipped byte costs its
+// word's length, 8 in the body and only the tail's length at the end.
+TEST(Ior, CheckPatternCountsMismatchedWords) {
+  std::vector<std::byte> buf(8 * 5 + 3);  // five whole words and a 3-byte tail
+  fill_pattern(buf, 4096, 7);
+  EXPECT_EQ(check_pattern(buf, 4096, 7), 0u);
+
+  buf[8 * 2 + 5] ^= std::byte{0x01};  // inside the third word
+  EXPECT_EQ(check_pattern(buf, 4096, 7), 8u);
+  buf[8 * 2 + 6] ^= std::byte{0x80};  // same word again: still one word
+  EXPECT_EQ(check_pattern(buf, 4096, 7), 8u);
+
+  buf[8 * 5 + 1] ^= std::byte{0x10};  // inside the tail
+  EXPECT_EQ(check_pattern(buf, 4096, 7), 8u + 3u);
+  EXPECT_EQ(check_pattern(std::span<const std::byte>(buf).subspan(8 * 5), 4096 + 8 * 5, 7), 3u);
+
+  buf[0] ^= std::byte{0xFF};  // first word
+  EXPECT_EQ(check_pattern(buf, 4096, 7), 8u + 8u + 3u);
+  EXPECT_EQ(check_pattern({}, 0, 7), 0u);
+}
+
 }  // namespace
 }  // namespace daosim::ior
