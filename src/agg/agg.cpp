@@ -1,8 +1,9 @@
 #include "agg/agg.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
+
+#include "pool/pool_service.hpp"
 
 namespace daosim::agg {
 
@@ -11,12 +12,12 @@ using net::Reply;
 
 namespace {
 // Trace tag folded into the deterministic run hash, one note per aggregated
-// shard (0xFA17E00E; DTX owns ..E009-E00D). Emitted only when the service is
-// enabled, so the knob perturbs the trace and "off" stays bit-identical.
+// shard (0xFA17E00E; DTX owns ..E009-E00D). The background pass runs only
+// when enabled, so the knob perturbs the trace; only triggers emit it when off.
 constexpr std::uint64_t kTraceAgg = 0xFA17E00E'0000'0000ULL;
 
-// Pool-service snap_list: bounded attempts per shard; a failed query defers
-// the shard (deferred_on_floor) and the next pass asks again.
+// Pool-service snap_list: bounded attempts per query; a failed query defers
+// the shard (deferred_on_floor) and the next pass or trigger asks again.
 constexpr int kSnapQueryAttempts = 3;
 constexpr sim::Time kSnapQueryRetryDelay = 50 * sim::kMs;
 constexpr std::uint64_t kSnapQueryWireBytes = 128;
@@ -33,6 +34,9 @@ AggregationService::AggregationService(engine::Engine& eng, rebuild::RebuildServ
       rebuild_(rebuild),
       svc_nodes_(std::move(svc_nodes)),
       cfg_(cfg) {
+  eng_.endpoint().register_handler(engine::kOpContAggregate, [this](net::Request req) {
+    return on_aggregate(std::move(req));
+  });
   if (!cfg_.enabled) return;  // keep the metric tree untouched when off
   telemetry::Registry& reg = eng_.telemetry();
   runs_ = &reg.find_or_create<telemetry::Counter>("vos/agg/runs");
@@ -89,10 +93,46 @@ std::vector<AggregationService::ShardItem> AggregationService::collect_shards() 
   return items;  // (target, uuid) order: targets ascending, uuids map-sorted
 }
 
-vos::VosContainer::AggregateResult AggregationService::aggregate_shard(std::uint32_t target,
-                                                                       const vos::Uuid& cont,
-                                                                       vos::Epoch upto) {
-  return eng_.vos_target(target).container(cont).aggregate(upto);
+sim::CoTask<Reply> AggregationService::on_aggregate(net::Request req) {
+  const auto& r = req.body.get<engine::ContAggregateReq>();
+  const vos::VosContainer* cont = eng_.vos_target(r.target).find_container(r.cont);
+  if (cont == nullptr || cont->current_epoch() == 0) {
+    co_return Reply{Errno::ok, engine::kObjRpcHeader, {}};  // no history to merge
+  }
+  const ShardItem item{r.target, r.cont, cont->current_epoch()};
+  const std::optional<vos::Epoch> ceiling = co_await snapshot_ceiling(item.cont);
+  co_await step_shard(item, ceiling);
+  co_return Reply{ceiling ? Errno::ok : Errno::again, engine::kObjRpcHeader, {}};
+}
+
+sim::CoTask<bool> AggregationService::step_shard(ShardItem item,
+                                                 std::optional<vos::Epoch> ceiling) {
+  // An unknown ceiling (pool service unreachable) merges nothing: a guess
+  // could destroy history a snapshot still pins.
+  vos::Epoch upto = ceiling ? std::min(item.epoch_clock, *ceiling) : 0;
+  if (rebuild_ != nullptr) upto = std::min(upto, rebuild_->min_resync_floor());
+  if (upto == 0) {
+    if (deferred_) deferred_->inc();
+    co_return false;
+  }
+  // Walking the shard's index trees reads media through the target's
+  // xstream, sharing bandwidth with foreground I/O.
+  co_await eng_.rebuild_read(item.target, kDescentBytes);
+  if (eng_.endpoint().is_down()) co_return true;  // crashed during the descent
+  // The merge itself is shard-atomic: the container lookup and the aggregate
+  // share one expression, so no reference outlives it into a suspension.
+  // VOS clamps `upto` below the oldest prepared DTX epoch internally.
+  const vos::VosContainer::AggregateResult r =
+      eng_.vos_target(item.target).container(item.cont).aggregate(upto);
+  if (floor_epoch_) floor_epoch_->set(static_cast<std::int64_t>(r.upto));
+  if (r.extents_retired > 0) {
+    if (retired_) retired_->inc(r.extents_retired);
+    if (flattened_) flattened_->inc(r.bytes_flattened);
+    // Rewriting the merged extents is a media write on the same target.
+    co_await eng_.rebuild_write(item.target, r.bytes_flattened + 64);
+  }
+  sched_.trace_note(kTraceAgg ^ (std::uint64_t(item.target) << 40) ^ item.cont.lo ^ r.upto);
+  co_return true;
 }
 
 sim::CoTask<void> AggregationService::run_pass() {
@@ -124,36 +164,9 @@ sim::CoTask<void> AggregationService::run_pass() {
       ceiling = co_await snapshot_ceiling(item.cont);
       snap_cache[item.cont] = ceiling;
     }
-    if (!ceiling) {
-      // Pool service unreachable: the snapshot floor is unknown, and merging
-      // on a guess could destroy history a snapshot still pins.
-      if (deferred_) deferred_->inc();
-      continue;
-    }
-    vos::Epoch upto = std::min(item.epoch_clock, *ceiling);
-    if (rebuild_ != nullptr) upto = std::min(upto, rebuild_->min_resync_floor());
-    if (upto == 0) {
-      if (deferred_) deferred_->inc();
-      continue;
-    }
+    if (!co_await step_shard(item, ceiling)) continue;
     --credits;
     cursor_ = {item.target, item.cont};
-    // Walking the shard's index trees reads media through the target's
-    // xstream, sharing bandwidth with foreground I/O.
-    co_await eng_.rebuild_read(item.target, kDescentBytes);
-    if (eng_.endpoint().is_down()) break;  // crashed during the descent
-    // The merge itself is shard-atomic: no suspension between the container
-    // lookup and the aggregate (aggregate_shard holds the only reference).
-    // VOS clamps `upto` below the oldest prepared DTX epoch internally.
-    const vos::VosContainer::AggregateResult r = aggregate_shard(item.target, item.cont, upto);
-    if (floor_epoch_) floor_epoch_->set(static_cast<std::int64_t>(r.upto));
-    if (r.extents_retired > 0) {
-      if (retired_) retired_->inc(r.extents_retired);
-      if (flattened_) flattened_->inc(r.bytes_flattened);
-      // Rewriting the merged extents is a media write on the same target.
-      co_await eng_.rebuild_write(item.target, r.bytes_flattened + 64);
-    }
-    sched_.trace_note(kTraceAgg ^ (std::uint64_t(item.target) << 40) ^ item.cont.lo ^ r.upto);
   }
   if (runs_) runs_->inc();
   passing_ = false;
@@ -162,8 +175,8 @@ sim::CoTask<void> AggregationService::run_pass() {
 sim::CoTask<std::optional<vos::Epoch>> AggregationService::snapshot_ceiling(vos::Uuid cont) {
   // No pool service wired (minimal harness): nothing can create snapshots.
   if (svc_nodes_.empty()) co_return vos::kEpochMax;
-  // The same snap_list command the client's cont_aggregate issues, with the
-  // usual leader-hint redirect dance (see DtxService::engine_excluded).
+  // snap_list with the usual leader-hint redirect dance (see
+  // DtxService::engine_excluded).
   for (int attempt = 0; attempt < kSnapQueryAttempts; ++attempt) {
     const net::NodeId dst =
         svc_hint_ ? *svc_hint_ : svc_nodes_[std::size_t(attempt) % svc_nodes_.size()];
@@ -175,19 +188,13 @@ sim::CoTask<std::optional<vos::Epoch>> AggregationService::snapshot_ceiling(vos:
                                             kSnapQueryWireBytes);
     if (r.status == Errno::ok) {
       svc_hint_ = dst;
-      std::istringstream is(r.body.get<engine::PoolSvcResp>().response);
-      std::string status;
-      is >> status;
+      const auto snaps = pool::parse_snap_list(r.body.get<engine::PoolSvcResp>().response);
       // ENOENT = the pool service never saw this container (created outside
       // cont_create): no snapshot can exist for it either.
-      if (status == "ENOENT") co_return vos::kEpochMax;
-      if (status != "ok") co_return std::nullopt;
-      std::size_t n = 0;
-      is >> n;
-      if (n == 0) co_return vos::kEpochMax;
-      vos::Epoch min_snap = 0;
-      is >> min_snap;  // epochs arrive sorted ascending
-      co_return min_snap == 0 ? 0 : min_snap - 1;  // never merge across a snapshot
+      if (snaps.error() == Errno::no_entry) co_return vos::kEpochMax;
+      if (!snaps.ok()) co_return std::nullopt;
+      // Epochs arrive ascending; never merge across the oldest snapshot.
+      co_return snaps->empty() ? vos::kEpochMax : std::max<vos::Epoch>(snaps->front(), 1) - 1;
     }
     svc_hint_.reset();
     if (r.status == Errno::again && r.body.has_value()) {

@@ -3,21 +3,22 @@
 // reclaiming version-stack depth so sustained overwrite traffic keeps O(log n)
 // read-side visibility resolution instead of accreting an ever-deeper history.
 //
-// The service only ever merges strictly below a safety floor it derives per
-// pass:
+// The service is the only code that merges a shard, and only below one safety
+// floor, derived per shard step:
 //   floor = min( shard epoch clock at collection,
 //                oldest container snapshot - 1   (pool-service snap_list),
 //                rebuild min_resync_floor()      (restart/resync epoch marks),
 //                dtx_min_prepared_epoch() - 1    (clamped inside VOS) )
 // so snapshot reads, in-flight transactions, and rebuild's epoch-diff resync
-// all see byte-identical history before and after a pass. See docs/vos.md.
+// all see byte-identical history before and after a merge. See docs/vos.md.
 //
-// Throttling mirrors the rebuild/DTX services: a tick-driven loop with a
-// per-pass shard credit, every descent and rewrite charged through the
-// engine's xstream + media path so aggregation shares bandwidth with
-// foreground I/O. Disabled (the default) the service spawns nothing and
-// registers no metrics: same-seed traces are bit-identical to a build
-// without it.
+// Two callers run that step: a tick-driven background loop with a per-pass
+// shard credit (mirroring the rebuild/DTX services), and the client's
+// cont_aggregate trigger (kOpContAggregate). Every descent and rewrite is
+// charged through the engine's xstream + media path, so aggregation shares
+// bandwidth with foreground I/O. Disabled (the default) the service spawns no
+// loop and registers no metrics but still serves the trigger: runs that never
+// call cont_aggregate are bit-identical to a build without the loop.
 #pragma once
 
 #include <map>
@@ -31,8 +32,8 @@
 namespace daosim::agg {
 
 struct AggConfig {
-  /// Master switch. Off (default) = the service never runs and never touches
-  /// telemetry, keeping pre-existing same-seed traces bit-identical.
+  /// Master switch for the background pass. Off (default) = no loop and no
+  /// telemetry; the client trigger is served either way.
   bool enabled = false;
   /// Pass period per engine.
   sim::Time tick = 500 * sim::kMs;
@@ -54,7 +55,7 @@ class AggregationService {
   AggregationService(const AggregationService&) = delete;
   AggregationService& operator=(const AggregationService&) = delete;
 
-  /// Spawns the aggregation loop (idempotent; no-op unless cfg.enabled).
+  /// Spawns the background loop (idempotent; no-op unless cfg.enabled).
   void start();
   void stop();
 
@@ -71,8 +72,8 @@ class AggregationService {
   std::uint64_t deferred_on_floor() const;
 
  private:
-  /// One shard picked up by a pass, copied out of VOS so RPC and media
-  /// suspensions never span a container reference.
+  /// One shard picked up by a pass or a trigger, copied out of VOS so RPC
+  /// and media suspensions never span a container reference.
   struct ShardItem {
     std::uint32_t target = 0;  // local target index
     vos::Uuid cont;
@@ -81,16 +82,19 @@ class AggregationService {
 
   sim::CoTask<void> agg_loop();
   sim::CoTask<void> run_pass();
+  /// kOpContAggregate: one step on one shard; Errno::again if the ceiling is unknown.
+  sim::CoTask<net::Reply> on_aggregate(net::Request req);
+  /// The per-shard step both callers run: upto = min(shard clock, snapshot
+  /// ceiling, rebuild min_resync_floor()); false (deferred, nothing charged)
+  /// when the ceiling is unknown or upto is 0. Otherwise charges the descent,
+  /// merges below upto and charges the rewrite.
+  sim::CoTask<bool> step_shard(ShardItem item, std::optional<vos::Epoch> ceiling);
   std::vector<ShardItem> collect_shards() const;
   /// Highest epoch the container's snapshots allow aggregating to:
   /// vos::kEpochMax when unconstrained (no snapshots, or the pool service
   /// never saw the container), nullopt when the service is unreachable —
   /// absence of evidence is not a license to merge.
   sim::CoTask<std::optional<vos::Epoch>> snapshot_ceiling(vos::Uuid cont);
-  /// The shard-atomic merge itself, isolated in a plain function so no
-  /// container reference exists inside the coroutine frame.
-  vos::VosContainer::AggregateResult aggregate_shard(std::uint32_t target, const vos::Uuid& cont,
-                                                     vos::Epoch upto);
 
   engine::Engine& eng_;
   sim::Scheduler& sched_;

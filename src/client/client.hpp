@@ -195,10 +195,10 @@ class DaosClient {
   sim::CoTask<Result<void>> snapshot_destroy(vos::Uuid cont, vos::Epoch epoch);
   /// Registered snapshot epochs, ascending.
   sim::CoTask<Result<std::vector<vos::Epoch>>> list_snapshots(vos::Uuid cont);
-  /// Fans epoch aggregation over every UP target of the pool, with `upto`
-  /// clamped below the container's lowest snapshot (engines additionally
-  /// clamp below their oldest prepared transaction).
-  sim::CoTask<Result<void>> cont_aggregate(vos::Uuid cont, vos::Epoch upto = vos::kEpochMax);
+  /// Asks every non-excluded target's engine for an aggregation pass over
+  /// its shard of `cont` now. The engine alone decides how far the shard may
+  /// be merged (snapshot, rebuild-resync and DTX floors; docs/vos.md §3).
+  sim::CoTask<Result<void>> cont_aggregate(vos::Uuid cont);
 
   // --- resilient RPC (the only sanctioned path to RpcEndpoint::call) ---
 

@@ -1,7 +1,8 @@
 #include "client/tx.hpp"
 
 #include <algorithm>
-#include <sstream>
+
+#include "pool/pool_service.hpp"
 
 namespace daosim::client {
 
@@ -294,43 +295,21 @@ sim::CoTask<Result<std::vector<vos::Epoch>>> DaosClient::list_snapshots(vos::Uui
                                          static_cast<unsigned long long>(cont.hi),
                                          static_cast<unsigned long long>(cont.lo)));
   if (!res.ok()) co_return res.error();
-  std::istringstream is(*res);
-  std::string status;
-  is >> status;
-  if (status == "ENOENT") co_return Errno::no_entry;
-  if (status != "ok") co_return Errno::io;
-  std::size_t n = 0;
-  is >> n;
-  std::vector<vos::Epoch> out(n, 0);
-  for (std::size_t i = 0; i < n; ++i) is >> out[i];
-  co_return out;
+  co_return pool::parse_snap_list(*res);
 }
 
-sim::CoTask<Result<void>> DaosClient::cont_aggregate(vos::Uuid cont, vos::Epoch upto) {
-  auto snaps = co_await list_snapshots(cont);
-  if (!snaps.ok()) co_return snaps.error();
-  if (!snaps->empty()) {
-    const vos::Epoch min_snap = snaps->front();
-    if (min_snap == 0) co_return Result<void>{};
-    upto = std::min(upto, min_snap - 1);  // never merge across a snapshot
-  }
-  if (upto == 0) co_return Result<void>{};
+sim::CoTask<Result<void>> DaosClient::cont_aggregate(vos::Uuid cont) {
   Errno status = Errno::ok;
   for (std::uint32_t mt = 0; mt < map_.target_count(); ++mt) {
     if (map_.targets[mt].health == pool::TargetHealth::excluded) continue;
-    engine::ContAggregateReq req;
-    req.cont = cont;
-    req.target = map_.targets[mt].target;
-    req.upto = upto;
-    Body body = Body::make(std::move(req));
+    Body body = Body::make(engine::ContAggregateReq{cont, map_.targets[mt].target});
     Reply r = co_await call_target(mt, engine::kOpContAggregate, std::move(body),
                                    engine::kObjRpcHeader);
     // stale = the target got evicted mid-walk: its history is rebuilt
     // elsewhere, nothing to aggregate there.
     if (r.status != Errno::ok && r.status != Errno::stale) status = r.status;
   }
-  if (status != Errno::ok) co_return status;
-  co_return Result<void>{};
+  co_return status;
 }
 
 }  // namespace daosim::client

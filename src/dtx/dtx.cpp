@@ -43,9 +43,6 @@ DtxService::DtxService(engine::Engine& eng, pool::PoolMap base_map,
       engine::kOpTxAbort, [this](net::Request req) { return on_abort(std::move(req)); });
   eng_.endpoint().register_handler(
       engine::kOpTxResolve, [this](net::Request req) { return on_resolve(std::move(req)); });
-  eng_.endpoint().register_handler(engine::kOpContAggregate, [this](net::Request req) {
-    return on_aggregate(std::move(req));
-  });
   telemetry::Registry& reg = eng_.telemetry();
   prepares_ = &reg.find_or_create<telemetry::Counter>("dtx/prepares");
   conflicts_ = &reg.find_or_create<telemetry::Counter>("dtx/conflicts");
@@ -148,13 +145,6 @@ sim::CoTask<net::Reply> DtxService::on_resolve(net::Request req) {
   engine::TxResolveResp resp;
   resp.state = cont.dtx_state(vos::DtxId{r.tx_client, r.tx_seq});
   co_return Reply{Errno::ok, engine::kObjRpcHeader, Body::make(resp)};
-}
-
-sim::CoTask<net::Reply> DtxService::on_aggregate(net::Request req) {
-  const auto& r = req.body.get<engine::ContAggregateReq>();
-  co_await eng_.rebuild_write(r.target, 64);
-  eng_.vos_target(r.target).container(r.cont).aggregate(r.upto);
-  co_return Reply{Errno::ok, engine::kObjRpcHeader, {}};
 }
 
 sim::CoTask<void> DtxService::reaper_loop() {

@@ -3,8 +3,7 @@
 // answers resolve queries against the leader shard's decision table, and
 // runs the recovery machinery — a periodic orphan reaper plus a resync pass
 // after engine restart — that settles prepared-but-undecided entries left by
-// client or engine crashes. Also serves snapshot-floored container
-// aggregation. Protocol and failure matrix: docs/dtx.md.
+// client or engine crashes. Protocol and failure matrix: docs/dtx.md.
 #pragma once
 
 #include <map>
@@ -78,7 +77,6 @@ class DtxService {
   sim::CoTask<net::Reply> on_commit(net::Request req);
   sim::CoTask<net::Reply> on_abort(net::Request req);
   sim::CoTask<net::Reply> on_resolve(net::Request req);
-  sim::CoTask<net::Reply> on_aggregate(net::Request req);
 
   sim::CoTask<void> reaper_loop();
   /// Scans every local shard for prepared entries and settles what it can:

@@ -287,12 +287,11 @@ struct TxResolveResp {
   vos::DtxState state = vos::DtxState::unknown;
 };
 
-/// Client-driven container aggregation on one shard, with `upto` already
-/// clamped below the pool's lowest snapshot epoch by the caller.
+/// Client trigger: run one aggregation step on the container's shard on
+/// `target` now. The engine derives how far it may merge.
 struct ContAggregateReq {
   vos::Uuid cont;
   std::uint32_t target = 0;
-  vos::Epoch upto = 0;
 };
 
 /// Pool service client command: an opaque state-machine command string

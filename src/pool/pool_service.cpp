@@ -1,5 +1,6 @@
 #include "pool/pool_service.hpp"
 
+#include <charconv>
 #include <sstream>
 
 #include "engine/proto.hpp"
@@ -25,6 +26,20 @@ constexpr std::uint64_t kTraceRebuildDrive = 0xFA17E005'0000'0000ULL;
 constexpr std::uint64_t kTraceRebuildAssign = 0xFA17E006'0000'0000ULL;
 constexpr std::uint64_t kTraceRebuildDone = 0xFA17E007'0000'0000ULL;
 }  // namespace
+
+Result<std::vector<vos::Epoch>> parse_snap_list(std::string_view reply) {
+  if (reply == "ENOENT") return Errno::no_entry;
+  if (!reply.starts_with("ok")) return Errno::io;
+  std::vector<vos::Epoch> fields;  // the count, then that many epochs
+  for (std::size_t at = 2; at < reply.size();) {
+    const char* end = reply.data() + reply.size();
+    const auto [next, ec] = std::from_chars(reply.data() + at + 1, end, fields.emplace_back());
+    if (reply[at] != ' ' || ec != std::errc{}) return Errno::io;
+    at = std::size_t(next - reply.data());
+  }
+  if (fields.empty() || fields.front() != fields.size() - 1) return Errno::io;
+  return std::vector<vos::Epoch>(fields.begin() + 1, fields.end());
+}
 
 std::string PoolMetaSm::apply(const std::string& command) {
   std::istringstream is(command);

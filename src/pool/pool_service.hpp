@@ -23,6 +23,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -32,6 +33,10 @@
 #include "telemetry/telemetry.hpp"
 
 namespace daosim::pool {
+
+/// The epochs of a snap_list reply, ascending. Errno::no_entry for "ENOENT";
+/// Errno::io for any other status or a short, long or non-numeric list.
+Result<std::vector<vos::Epoch>> parse_snap_list(std::string_view reply);
 
 /// Raft state machine holding the pool's container metadata.
 class PoolMetaSm final : public raft::StateMachine {

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -594,6 +595,11 @@ TEST(DtxCluster, SnapshotPinsAggregationUntilDestroyed) {
     CO_ASSERT_OK(now);
     CO_ASSERT_EQ(str(*now), "current");
   });
+  // The background pass is off here: the engines served both triggers, and
+  // the metric tree stays as a disabled aggregation service left it.
+  std::ostringstream dump;
+  tb.dump_metrics(dump);
+  EXPECT_EQ(dump.str().find("vos/agg"), std::string::npos);
   tb.stop();
 }
 

@@ -51,6 +51,32 @@ TEST(PoolMetaSm, SnapshotRoundTrip) {
   EXPECT_EQ(restored.containers().size(), 2u);
 }
 
+TEST(PoolMetaSm, ParseSnapListReplies) {
+  auto none = parse_snap_list("ok 0");
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+  auto two = parse_snap_list("ok 2 3 9");
+  ASSERT_TRUE(two.ok());
+  EXPECT_EQ(*two, (std::vector<vos::Epoch>{3, 9}));
+  EXPECT_EQ(parse_snap_list("ENOENT").error(), Errno::no_entry);
+  // A short, overlong or non-numeric list is an error, never zero epochs.
+  EXPECT_EQ(parse_snap_list("ok 2 5").error(), Errno::io);
+  EXPECT_EQ(parse_snap_list("ok 1 5 6").error(), Errno::io);
+  EXPECT_EQ(parse_snap_list("ok 1 x").error(), Errno::io);
+  EXPECT_EQ(parse_snap_list("ok 1 -5").error(), Errno::io);
+  EXPECT_EQ(parse_snap_list("ok").error(), Errno::io);
+  EXPECT_EQ(parse_snap_list("").error(), Errno::io);
+  EXPECT_EQ(parse_snap_list("EINVAL").error(), Errno::io);
+  // The state machine's own reply round-trips.
+  PoolMetaSm sm;
+  sm.apply("cont_create 1 2 4096 1");
+  sm.apply("snap_create 1 2 40");
+  sm.apply("snap_create 1 2 7");
+  auto listed = parse_snap_list(sm.apply("snap_list 1 2"));
+  ASSERT_TRUE(listed.ok());
+  EXPECT_EQ(*listed, (std::vector<vos::Epoch>{7, 40}));
+}
+
 TEST(PoolMetaSm, RestoreFromEmptyResets) {
   PoolMetaSm sm;
   sm.apply("cont_create 1 1 4096 0");

@@ -625,6 +625,91 @@ TEST(Rebuild, ResyncPreservesPostReintegrationWrites) {
   tb.stop();
 }
 
+// A client-triggered aggregation that lands on the reintegrated replica before
+// its resync image arrives must stop at the same resync floor as the
+// background pass. Merging across it would coalesce the stale pre-eviction
+// bytes beside the post-reintegration write up to that write's epoch, and
+// the resync's newer-than-floor mask would then keep them over the window
+// image. The resync fetch is held back by severing engine 3 -> substitute,
+// which leaves the client's aggregate walk free to reach engine 3 first.
+TEST(Rebuild, ClientAggregateDuringResyncKeepsWindowImage) {
+  Testbed tb(small_cluster());
+  tb.start();
+  std::uint32_t other = 0;
+  const std::uint64_t seq = find_group_on_engine(tb, 3, other);
+  ASSERT_NE(seq, 0u);
+  const auto oid = client::make_oid(seq, ObjClass::RP_2G1);
+  const net::NodeId reint_node = tb.engine(3).node();
+
+  pool::PoolMap wmap = tb.pool_map();
+  for (auto& t : wmap.targets) {
+    if (t.engine == reint_node) t.health = pool::TargetHealth::excluded;
+  }
+  const auto nominal = client::compute_nominal_layout(oid, 1, 2, tb.pool_map());
+  const auto windowl = client::compute_group_layout(oid, 1, 2, wmap);
+  std::uint32_t sub = std::uint32_t(wmap.targets.size());
+  std::uint32_t reint_target = sub;
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    const auto& t = tb.pool_map().targets[nominal.at(0, r)];
+    if (t.engine != reint_node) continue;
+    sub = windowl.at(0, r);
+    reint_target = t.target;
+  }
+  ASSERT_LT(sub, wmap.targets.size());
+  std::uint32_t sub_engine = tb.engine_count();
+  for (std::uint32_t e = 0; e < tb.engine_count(); ++e) {
+    if (tb.engine(e).node() == wmap.targets[sub].engine) sub_engine = e;
+  }
+  ASSERT_LT(sub_engine, tb.engine_count());
+
+  constexpr std::uint64_t kChunk = 64 * kKiB;
+  constexpr std::uint64_t kLen = 4 * kKiB;
+  const auto fill = [](char c) { return std::vector<std::byte>(kLen, std::byte(c)); };
+
+  tb.run([&]() -> CoTask<void> {
+    auto& cl = tb.client(0);
+    CO_ASSERT_OK(co_await cl.cont_create(kPoolUuid, {}));
+    client::ArrayObject arr(cl, kPoolUuid, oid, kChunk);
+    CO_ASSERT_ERRNO(co_await arr.write(0, kLen, fill('A')), Errno::ok);
+    tb.crash_engine(3);
+  });
+  ASSERT_TRUE(tb.wait_rebuild());
+
+  // After the eviction rebuild settled, so it lands above the substitute's
+  // epoch mark and the resync diff carries it back to engine 3.
+  tb.run([&]() -> CoTask<void> {
+    client::ArrayObject arr(tb.client(0), kPoolUuid, oid, kChunk);
+    CO_ASSERT_ERRNO(co_await arr.write(0, kLen, fill('W')), Errno::ok);
+  });
+
+  tb.restart_engine(3);
+  fault::Schedule hold;
+  hold.partition(0, 400 * sim::kMs, {3}, {sub_engine}, /*oneway=*/true);
+  tb.inject_faults(hold, /*seed=*/1);
+  tb.run([&]() -> CoTask<void> {
+    auto& cl = tb.client(0);
+    auto r = co_await cl.pool_reint(reint_node);
+    CO_ASSERT_TRUE(r.ok());
+    client::ArrayObject arr(cl, kPoolUuid, oid, kChunk);
+    CO_ASSERT_ERRNO(co_await arr.write(kLen, kLen, fill('P')), Errno::ok);
+    CO_ASSERT_OK(co_await cl.cont_aggregate(kPoolUuid));
+  });
+  ASSERT_TRUE(tb.wait_rebuild());
+
+  // Engine 3's own replica, read straight from VOS: a client read could be
+  // served by the other replica and mask a stale one.
+  const vos::VosContainer* cont =
+      tb.engine(3).vos_target(reint_target).find_container(kPoolUuid);
+  ASSERT_NE(cont, nullptr);
+  std::vector<std::byte> got(2 * kLen);
+  EXPECT_EQ(cont->array_read(oid, "0", "0", 0, got, vos::kEpochMax), 2 * kLen);
+  std::vector<std::byte> want = fill('W');
+  const std::vector<std::byte> tail = fill('P');
+  want.insert(want.end(), tail.begin(), tail.end());
+  EXPECT_TRUE(got == want) << "engine 3 kept '" << char(got[0]) << "' at offset 0";
+  tb.stop();
+}
+
 // A re-driven task must re-scan participants that already reported done:
 // sources with empty assignments report done almost immediately, and their
 // scans feed other destinations' assignments. Here the destination's first

@@ -30,8 +30,9 @@
 #                          and gossip buffers must be lifetime-clean
 #   tools/ci.sh agg        evtree + background-aggregation suite (the extent
 #                          index property tests against the flat oracle, the
-#                          service's floor/determinism/crash battery, and the
-#                          DTX/snapshot aggregation pins) under ASan+UBSan
+#                          service's floor/determinism/crash battery, the
+#                          DTX/snapshot aggregation pins, and the client
+#                          trigger racing a resync) under ASan+UBSan
 #                          with the runtime audits on — the merge passes
 #                          splice version vectors in place and must be
 #                          lifetime- and UB-clean
@@ -254,10 +255,11 @@ if [[ $STAGE == agg ]]; then
   echo "=== [agg] configure + build ==="
   cmake -B build-ci-agg -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDAOSIM_SANITIZE="address;undefined" -DDAOSIM_AUDIT=ON
-  cmake --build build-ci-agg -j "$JOBS" --target evtree_test agg_test dtx_test
+  cmake --build build-ci-agg -j "$JOBS" --target evtree_test agg_test dtx_test \
+    rebuild_test
   echo "=== [agg] ctest ==="
   ctest --test-dir build-ci-agg --output-on-failure -j "$JOBS" \
-    -R 'Evtree|AggService|AggDeterminism|AggFloors|AggFault|DtxVos\.PreparedEntriesPinAggregation|DtxCluster\.SnapshotPinsAggregationUntilDestroyed'
+    -R 'Evtree|AggService|AggDeterminism|AggFloors|AggFault|DtxVos\.PreparedEntriesPinAggregation|DtxCluster\.SnapshotPinsAggregationUntilDestroyed|Rebuild\.ClientAggregateDuringResyncKeepsWindowImage'
   stage_end
 fi
 
