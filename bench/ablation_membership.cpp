@@ -3,7 +3,7 @@
 // stale clients (10^3..10^4) all learn about the new pool map at once:
 //
 //   point  SWIM/IV disabled. Every client does what the legacy path did —
-//          a full map_query against the pool-service leader. Leader RPC
+//          a full MapQuery against the pool-service leader. Leader RPC
 //          load is O(N) and the replies serialize on one node's NIC.
 //   iv     SWIM/IV enabled. Every client issues one small object fetch to
 //          a live engine; the reply arrives stamped with the newer map
@@ -30,16 +30,16 @@ using namespace daosim;
 using sim::CoTask;
 
 /// Forced eviction through the admin path (the `dmg pool exclude`
-/// equivalent): submit pool_evict to the service replicas until a leader
+/// equivalent): submit PoolEvict to the service replicas until a leader
 /// accepts it. Used by the point series, where no failure detector runs.
 CoTask<void> admin_evict(cluster::Testbed* tb, net::NodeId victim) {
   for (int round = 0; round < 100; ++round) {
     for (std::uint32_t s = 0; s < tb->svc_replica_count(); ++s) {
-      engine::PoolSvcReq req{strfmt("pool_evict %u", victim)};
+      const pool::Command cmd = pool::PoolEvict{victim};
       net::Reply r = co_await tb->engine(0).endpoint().call(
-          tb->engine(s).node(), engine::kOpPoolSvc, net::Body::make(std::move(req)), 128);
-      if (r.status == Errno::ok &&
-          r.body.get<engine::PoolSvcResp>().response.rfind("ok", 0) == 0) {
+          tb->engine(s).node(), engine::kOpPoolSvc, net::Body::make(pool::PoolSvcReq{cmd}),
+          pool::kSvcMsgBytes + pool::wire_bytes(cmd));
+      if (r.status == Errno::ok && r.body.get<pool::PoolSvcResp>().reply.status == Errno::ok) {
         co_return;
       }
     }

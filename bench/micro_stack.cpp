@@ -21,9 +21,9 @@ void BM_RaftCommitThroughput(benchmark::State& state) {
     for (int i = 0; i < 3; ++i) ids.push_back(fabric.add_node());
     net::RpcDomain dom(fabric);
     struct NullSm final : raft::StateMachine {
-      std::string apply(const std::string&) override { return ""; }
-      std::string snapshot() const override { return ""; }
-      void restore(const std::string&) override {}
+      net::Body apply(const net::Body&) override { return {}; }
+      raft::Snapshot snapshot() const override { return {}; }
+      void restore(const net::Body&) override {}
     };
     std::vector<std::unique_ptr<net::RpcEndpoint>> eps;
     std::vector<std::unique_ptr<NullSm>> sms;
@@ -47,7 +47,7 @@ void BM_RaftCommitThroughput(benchmark::State& state) {
     int done = 0;
     for (int i = 0; i < 100; ++i) {
       sched.spawn([leader, &done]() -> CoTask<void> {
-        (void)co_await leader->submit("cmd");
+        (void)co_await leader->submit(net::Body::make(std::string("cmd")), 3);
         ++done;
       });
     }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "pool/pool_service.hpp"
-
 namespace daosim::agg {
 
 using net::Body;
@@ -12,15 +10,14 @@ using net::Reply;
 
 namespace {
 // Trace tag folded into the deterministic run hash, one note per aggregated
-// shard (0xFA17E00E; DTX owns ..E009-E00D). The background pass runs only
-// when enabled, so the knob perturbs the trace; only triggers emit it when off.
+// shard (0xFA17E00E; DTX owns ..E009-E00D, client transactions E00F and
+// E016). The background pass runs only when enabled, so the knob perturbs the
+// trace; only triggers emit it when off.
 constexpr std::uint64_t kTraceAgg = 0xFA17E00E'0000'0000ULL;
 
-// Pool-service snap_list: bounded attempts per query; a failed query defers
+// Pool-service SnapList: bounded attempts per query; a failed query defers
 // the shard (deferred_on_floor) and the next pass or trigger asks again.
 constexpr int kSnapQueryAttempts = 3;
-constexpr sim::Time kSnapQueryRetryDelay = 50 * sim::kMs;
-constexpr std::uint64_t kSnapQueryWireBytes = 128;
 
 // Media charge for walking a shard's object/dkey/akey trees before merging
 // (the pass's read-side cost even when nothing is retired).
@@ -32,7 +29,7 @@ AggregationService::AggregationService(engine::Engine& eng, rebuild::RebuildServ
     : eng_(eng),
       sched_(eng.endpoint().domain().scheduler()),
       rebuild_(rebuild),
-      svc_nodes_(std::move(svc_nodes)),
+      svc_(eng.endpoint(), std::move(svc_nodes)),
       cfg_(cfg) {
   eng_.endpoint().register_handler(engine::kOpContAggregate, [this](net::Request req) {
     return on_aggregate(std::move(req));
@@ -68,7 +65,7 @@ void AggregationService::stop() { running_ = false; }
 
 void AggregationService::note_restart() {
   // The pool-service leader may have moved while this engine was down.
-  svc_hint_.reset();
+  svc_.forget_leader();
 }
 
 sim::CoTask<void> AggregationService::agg_loop() {
@@ -138,7 +135,7 @@ sim::CoTask<bool> AggregationService::step_shard(ShardItem item,
 sim::CoTask<void> AggregationService::run_pass() {
   if (passing_) co_return;  // a slow pass outliving its tick never doubles up
   passing_ = true;
-  // Copy the worklist out of VOS first: snap_list RPCs and media charges
+  // Copy the worklist out of VOS first: SnapList RPCs and media charges
   // suspend, and no container reference may live across those suspensions.
   const std::vector<ShardItem> items = collect_shards();
   // Resume strictly after the cursor (wrapping) so a credit smaller than the
@@ -174,35 +171,16 @@ sim::CoTask<void> AggregationService::run_pass() {
 
 sim::CoTask<std::optional<vos::Epoch>> AggregationService::snapshot_ceiling(vos::Uuid cont) {
   // No pool service wired (minimal harness): nothing can create snapshots.
-  if (svc_nodes_.empty()) co_return vos::kEpochMax;
-  // snap_list with the usual leader-hint redirect dance (see
-  // DtxService::engine_excluded).
-  for (int attempt = 0; attempt < kSnapQueryAttempts; ++attempt) {
-    const net::NodeId dst =
-        svc_hint_ ? *svc_hint_ : svc_nodes_[std::size_t(attempt) % svc_nodes_.size()];
-    engine::PoolSvcReq preq{strfmt("snap_list %llu %llu",
-                                   static_cast<unsigned long long>(cont.hi),
-                                   static_cast<unsigned long long>(cont.lo))};
-    Body body = Body::make(std::move(preq));
-    Reply r = co_await eng_.endpoint().call(dst, engine::kOpPoolSvc, std::move(body),
-                                            kSnapQueryWireBytes);
-    if (r.status == Errno::ok) {
-      svc_hint_ = dst;
-      const auto snaps = pool::parse_snap_list(r.body.get<engine::PoolSvcResp>().response);
-      // ENOENT = the pool service never saw this container (created outside
-      // cont_create): no snapshot can exist for it either.
-      if (snaps.error() == Errno::no_entry) co_return vos::kEpochMax;
-      if (!snaps.ok()) co_return std::nullopt;
-      // Epochs arrive ascending; never merge across the oldest snapshot.
-      co_return snaps->empty() ? vos::kEpochMax : std::max<vos::Epoch>(snaps->front(), 1) - 1;
-    }
-    svc_hint_.reset();
-    if (r.status == Errno::again && r.body.has_value()) {
-      svc_hint_ = r.body.get<engine::PoolSvcResp>().leader_hint;
-    }
-    co_await sched_.delay(kSnapQueryRetryDelay);
-  }
-  co_return std::nullopt;  // unreachable: not authoritative, defer the shard
+  if (svc_.empty()) co_return vos::kEpochMax;
+  const auto res = co_await svc_.request(pool::SnapList{cont}, kSnapQueryAttempts);
+  const auto snaps = pool::reply_as<pool::SnapEpochs>(res);
+  // no_entry = the pool service never saw this container (created outside
+  // cont_create): no snapshot can exist for it either.
+  if (snaps.error() == Errno::no_entry) co_return vos::kEpochMax;
+  if (!snaps.ok()) co_return std::nullopt;  // unreachable: defer the shard
+  // Epochs arrive ascending; never merge across the oldest snapshot.
+  const auto& epochs = snaps->epochs;
+  co_return epochs.empty() ? vos::kEpochMax : std::max<vos::Epoch>(epochs.front(), 1) - 1;
 }
 
 }  // namespace daosim::agg

@@ -6,7 +6,7 @@
 // The service is the only code that merges a shard, and only below one safety
 // floor, derived per shard step:
 //   floor = min( shard epoch clock at collection,
-//                oldest container snapshot - 1   (pool-service snap_list),
+//                oldest container snapshot - 1   (pool-service SnapList),
 //                rebuild min_resync_floor()      (restart/resync epoch marks),
 //                dtx_min_prepared_epoch() - 1    (clamped inside VOS) )
 // so snapshot reads, in-flight transactions, and rebuild's epoch-diff resync
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "pool/command.hpp"
 #include "rebuild/rebuild.hpp"
 
 namespace daosim::agg {
@@ -47,7 +48,7 @@ class AggregationService {
  public:
   /// @param rebuild    this engine's rebuild service (resync floor source);
   ///                   may be null in minimal harnesses (no floor constraint)
-  /// @param svc_nodes  pool-service replica nodes for snap_list queries;
+  /// @param svc_nodes  pool-service replica nodes for SnapList queries;
   ///                   empty disables the snapshot floor (no snapshots exist
   ///                   without a pool service to create them)
   AggregationService(engine::Engine& eng, rebuild::RebuildService* rebuild,
@@ -99,8 +100,7 @@ class AggregationService {
   engine::Engine& eng_;
   sim::Scheduler& sched_;
   rebuild::RebuildService* rebuild_;
-  std::vector<net::NodeId> svc_nodes_;
-  std::optional<net::NodeId> svc_hint_;  // last pool-service leader that answered
+  pool::SvcRoute svc_;
   AggConfig cfg_;
   bool running_ = false;
   bool passing_ = false;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 
 namespace daosim::client {
 
@@ -21,7 +20,6 @@ using net::Body;
 using net::Reply;
 
 namespace {
-constexpr std::uint64_t kSvcMsgBytes = 128;
 constexpr int kSvcMaxRetries = 16;
 constexpr sim::Time kSvcRetryDelay = 20 * sim::kMs;
 /// Bound on re-placement rounds after Errno::stale: each round follows one
@@ -181,8 +179,8 @@ sim::CoTask<void> DaosClient::report_engine_failure(net::NodeId engine) {
   evict_gates_.emplace(engine, gate);
   ++evictions_;
   sched_.trace_note(kTraceEvictReport ^ engine);
-  auto evicted = co_await svc_command(strfmt("pool_evict %u", engine));
-  if (evicted.ok()) {
+  const auto evicted = co_await svc_command(pool::PoolEvict{engine});
+  if (pool::reply_status(evicted) == Errno::ok) {
     Result<void> refreshed = co_await refresh_pool_map();
     if (!refreshed.ok()) {
       // Targets stay marked DOWN; the next failing call retries the refresh.
@@ -218,33 +216,29 @@ void DaosClient::note_data_loss(vos::ObjId oid, std::uint32_t group) {
 // leader map query (direct-map-query lint rule).
 
 sim::CoTask<Result<void>> DaosClient::pool_reint(net::NodeId engine) {
-  auto res = co_await svc_command(strfmt("pool_reint %u", engine));
-  if (!res.ok()) co_return res.error();
-  std::istringstream is(*res);
-  std::string status;
-  is >> status;
-  if (status != "ok") co_return Errno::io;
+  const auto res = co_await svc_command(pool::PoolReint{engine});
+  if (const Errno st = pool::reply_status(res); st != Errno::ok) co_return st;
   co_return co_await refresh_pool_map();
 }
 
-sim::CoTask<Result<std::string>> DaosClient::svc_command(std::string cmd) {
+sim::CoTask<Result<pool::Reply>> DaosClient::svc_command(pool::Command cmd) {
+  const std::uint64_t wire = pool::kSvcMsgBytes + pool::wire_bytes(cmd);
   std::size_t rr = 0;
   for (int attempt = 0; attempt < kSvcMaxRetries; ++attempt) {
     const net::NodeId dst =
         cached_leader_.value_or(svc_replicas_[rr++ % svc_replicas_.size()]);
     // Hoisted out of the co_await expression: GCC 12 miscompiles non-trivial
     // temporaries nested in co_await argument lists (double destruction).
-    engine::PoolSvcReq preq{cmd};
-    Body body = Body::make(std::move(preq));
-    Reply r = co_await call_with_deadline(dst, engine::kOpPoolSvc, std::move(body),
-                                          kSvcMsgBytes + cmd.size(), retry_.deadline);
+    Body body = Body::make(pool::PoolSvcReq{cmd});
+    Reply r = co_await call_with_deadline(dst, engine::kOpPoolSvc, std::move(body), wire,
+                                          retry_.deadline);
     if (r.status == Errno::ok) {
       cached_leader_ = dst;
-      co_return r.body.get<engine::PoolSvcResp>().response;
+      co_return r.body.get<pool::PoolSvcResp>().reply;
     }
     cached_leader_.reset();
     if (r.status == Errno::again && r.body.has_value()) {
-      cached_leader_ = r.body.get<engine::PoolSvcResp>().leader_hint;
+      cached_leader_ = r.body.get<pool::PoolSvcResp>().leader_hint;
     }
     co_await sched_.delay(kSvcRetryDelay);
   }
@@ -255,51 +249,28 @@ sim::CoTask<Result<std::string>> DaosClient::svc_command(std::string cmd) {
 // Pool service operations
 
 sim::CoTask<Result<ContInfo>> DaosClient::cont_create(vos::Uuid uuid, pool::ContProps props) {
-  auto res = co_await svc_command(strfmt("cont_create %llu %llu %llu %u",
-                                         static_cast<unsigned long long>(uuid.hi), static_cast<unsigned long long>(uuid.lo),
-                                         static_cast<unsigned long long>(props.chunk_size),
-                                         unsigned(props.oclass)));
-  if (!res.ok()) co_return res.error();
-  if (*res == "EEXIST") co_return Errno::exists;
-  if (*res != "ok") co_return Errno::io;
+  const auto res = co_await svc_command(pool::ContCreate{uuid, props});
+  if (const Errno st = pool::reply_status(res); st != Errno::ok) co_return st;
   co_return ContInfo{uuid, props};
 }
 
 sim::CoTask<Result<ContInfo>> DaosClient::cont_open(vos::Uuid uuid) {
-  auto res = co_await svc_command(
-      strfmt("cont_open %llu %llu", static_cast<unsigned long long>(uuid.hi), static_cast<unsigned long long>(uuid.lo)));
-  if (!res.ok()) co_return res.error();
-  std::istringstream is(*res);
-  std::string status;
-  is >> status;
-  if (status == "ENOENT") co_return Errno::no_entry;
-  if (status != "ok") co_return Errno::io;
-  ContInfo info{uuid, {}};
-  unsigned oclass = 0;
-  is >> info.props.chunk_size >> oclass;
-  info.props.oclass = std::uint8_t(oclass);
-  co_return info;
+  const auto res = co_await svc_command(pool::ContOpen{uuid});
+  const auto props = pool::reply_as<pool::ContProps>(res);
+  if (!props.ok()) co_return props.error();
+  co_return ContInfo{uuid, *props};
 }
 
 sim::CoTask<Result<void>> DaosClient::cont_destroy(vos::Uuid uuid) {
-  auto res = co_await svc_command(
-      strfmt("cont_destroy %llu %llu", static_cast<unsigned long long>(uuid.hi), static_cast<unsigned long long>(uuid.lo)));
-  if (!res.ok()) co_return res.error();
-  if (*res == "ENOENT") co_return Errno::no_entry;
-  co_return Result<void>{};
+  const auto res = co_await svc_command(pool::ContDestroy{uuid});
+  co_return pool::reply_status(res);
 }
 
 sim::CoTask<Result<std::uint64_t>> DaosClient::alloc_oids(vos::Uuid cont, std::uint64_t count) {
-  auto res = co_await svc_command(strfmt("alloc_oids %llu %llu %llu",
-                                         static_cast<unsigned long long>(cont.hi), static_cast<unsigned long long>(cont.lo),
-                                         static_cast<unsigned long long>(count)));
-  if (!res.ok()) co_return res.error();
-  std::istringstream is(*res);
-  std::string status;
-  std::uint64_t base = 0;
-  is >> status >> base;
-  if (status != "ok") co_return Errno::no_entry;
-  co_return base;
+  const auto res = co_await svc_command(pool::AllocOids{cont, count});
+  const auto base = pool::reply_as<pool::OidBase>(res);
+  if (!base.ok()) co_return base.error();
+  co_return base->base;
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "client/placement.hpp"
 #include "engine/proto.hpp"
 #include "net/rpc.hpp"
+#include "pool/command.hpp"
 #include "pool/pool_map.hpp"
 #include "sim/sync.hpp"
 #include "telemetry/telemetry.hpp"
@@ -293,7 +294,7 @@ class DaosClient {
  private:
   struct PendingCall;
 
-  sim::CoTask<Result<std::string>> svc_command(std::string cmd);
+  sim::CoTask<Result<pool::Reply>> svc_command(pool::Command cmd);
   static sim::CoTask<void> run_call(net::RpcEndpoint* ep, net::NodeId dst, std::uint16_t opcode,
                                     net::Body body, std::uint64_t wire_bytes,
                                     sim::TraceContext ctx, std::shared_ptr<PendingCall> st);

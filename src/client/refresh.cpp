@@ -5,9 +5,6 @@
 // leader map query — the direct-map-query lint rule keeps every other
 // src/client/ file off the leader, so map dissemination load stays O(1) in
 // client count (see docs/membership.md).
-#include <set>
-#include <sstream>
-
 #include "client/client.hpp"
 
 namespace daosim::client {
@@ -24,30 +21,19 @@ constexpr std::uint64_t kTraceDeltaApply = 0xFA17E015'0000'0000ULL;
 sim::CoTask<Result<void>> DaosClient::refresh_pool_map() {
   ++map_refreshes_;
   ++map_full_fetches_;
-  auto res = co_await svc_command("map_query");
-  if (!res.ok()) co_return res.error();
-  std::istringstream is(*res);
-  std::string status;
-  std::uint32_t version = 0;
-  std::size_t count = 0;
-  is >> status >> version >> count;
-  if (status != "ok") co_return Errno::io;
-  std::set<net::NodeId> excluded;
-  for (std::size_t i = 0; i < count; ++i) {
-    net::NodeId e = 0;
-    is >> e;
-    excluded.insert(e);
-  }
-  if (version <= map_.version) co_return Result<void>{};
-  map_.version = version;
+  const auto res = co_await svc_command(pool::MapQuery{});
+  const auto state = pool::reply_as<pool::MapState>(res);
+  if (!state.ok()) co_return state.error();
+  if (state->version <= map_.version) co_return Result<void>{};
+  map_.version = state->version;
   for (auto& t : map_.targets) {
-    if (excluded.contains(t.engine)) {
+    if (state->excluded.contains(t.engine)) {
       t.health = pool::TargetHealth::excluded;
     } else if (t.health == pool::TargetHealth::excluded) {
       t.health = pool::TargetHealth::up;  // reintegrated
     }
   }
-  sched_.trace_note(kTraceMapRefresh ^ version);
+  sched_.trace_note(kTraceMapRefresh ^ state->version);
   co_return Result<void>{};
 }
 

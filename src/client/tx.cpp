@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "pool/pool_service.hpp"
-
 namespace daosim::client {
 
 using net::Body;
@@ -11,8 +9,8 @@ using net::Reply;
 
 namespace {
 // Trace-digest tags for client-side transaction outcomes (the engine-side
-// DTX service owns 0xFA17E009..E00D).
-constexpr std::uint64_t kTraceTxCommitted = 0xFA17E00E'0000'0000ULL;
+// DTX service owns 0xFA17E009..E00D, aggregation 0xFA17E00E).
+constexpr std::uint64_t kTraceTxCommitted = 0xFA17E016'0000'0000ULL;
 constexpr std::uint64_t kTraceTxRestarted = 0xFA17E00F'0000'0000ULL;
 }  // namespace
 
@@ -269,33 +267,21 @@ sim::CoTask<Result<vos::Epoch>> DaosClient::snapshot_create(vos::Uuid cont) {
   // A fresh HLC epoch is a consistent cut: every transaction this client
   // saw commit is at or below it, every later one lands above it.
   const vos::Epoch e = tx_alloc_epoch();
-  auto res = co_await svc_command(strfmt("snap_create %llu %llu %llu",
-                                         static_cast<unsigned long long>(cont.hi),
-                                         static_cast<unsigned long long>(cont.lo),
-                                         static_cast<unsigned long long>(e)));
-  if (!res.ok()) co_return res.error();
-  if (*res == "ENOENT") co_return Errno::no_entry;
-  if (*res != "ok") co_return Errno::io;
+  const auto res = co_await svc_command(pool::SnapCreate{cont, e});
+  if (const Errno st = pool::reply_status(res); st != Errno::ok) co_return st;
   co_return e;
 }
 
 sim::CoTask<Result<void>> DaosClient::snapshot_destroy(vos::Uuid cont, vos::Epoch epoch) {
-  auto res = co_await svc_command(strfmt("snap_destroy %llu %llu %llu",
-                                         static_cast<unsigned long long>(cont.hi),
-                                         static_cast<unsigned long long>(cont.lo),
-                                         static_cast<unsigned long long>(epoch)));
-  if (!res.ok()) co_return res.error();
-  if (*res == "ENOENT") co_return Errno::no_entry;
-  if (*res != "ok") co_return Errno::io;
-  co_return Result<void>{};
+  const auto res = co_await svc_command(pool::SnapDestroy{cont, epoch});
+  co_return pool::reply_status(res);
 }
 
 sim::CoTask<Result<std::vector<vos::Epoch>>> DaosClient::list_snapshots(vos::Uuid cont) {
-  auto res = co_await svc_command(strfmt("snap_list %llu %llu",
-                                         static_cast<unsigned long long>(cont.hi),
-                                         static_cast<unsigned long long>(cont.lo)));
-  if (!res.ok()) co_return res.error();
-  co_return pool::parse_snap_list(*res);
+  const auto res = co_await svc_command(pool::SnapList{cont});
+  auto snaps = pool::reply_as<pool::SnapEpochs>(res);
+  if (!snaps.ok()) co_return snaps.error();
+  co_return std::move(snaps->epochs);
 }
 
 sim::CoTask<Result<void>> DaosClient::cont_aggregate(vos::Uuid cont) {

@@ -98,7 +98,7 @@ class Testbed {
   void crash_engine(std::uint32_t i);
   /// Brings a crashed engine back; a co-located replica recovers from its
   /// stable Raft state. The engine stays EXCLUDED from placement until a
-  /// pool_reint command reintegrates it (explicit, as in DAOS).
+  /// PoolReint command reintegrates it (explicit, as in DAOS).
   void restart_engine(std::uint32_t i);
 
   std::uint32_t svc_replica_count() const { return std::uint32_t(svc_.size()); }

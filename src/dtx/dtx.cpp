@@ -1,7 +1,6 @@
 #include "dtx/dtx.hpp"
 
 #include <set>
-#include <sstream>
 #include <utility>
 
 namespace daosim::dtx {
@@ -21,11 +20,9 @@ constexpr std::uint64_t tx_tag(std::uint64_t client, std::uint64_t seq) {
   return (client << 32) ^ seq;
 }
 
-// Pool-service map_query (engine_excluded): bounded attempts per sweep; a
+// Pool-service MapQuery (engine_excluded): bounded attempts per sweep; a
 // failed query is simply not authoritative and the next sweep asks again.
 constexpr int kMapQueryAttempts = 3;
-constexpr sim::Time kMapQueryRetryDelay = 50 * sim::kMs;
-constexpr std::uint64_t kMapQueryWireBytes = 128;
 }  // namespace
 
 DtxService::DtxService(engine::Engine& eng, pool::PoolMap base_map,
@@ -33,7 +30,7 @@ DtxService::DtxService(engine::Engine& eng, pool::PoolMap base_map,
     : eng_(eng),
       sched_(eng.endpoint().domain().scheduler()),
       base_map_(std::move(base_map)),
-      svc_nodes_(std::move(svc_nodes)),
+      svc_(eng.endpoint(), std::move(svc_nodes)),
       cfg_(cfg) {
   eng_.endpoint().register_handler(
       engine::kOpTxPrepare, [this](net::Request req) { return on_prepare(std::move(req)); });
@@ -235,7 +232,7 @@ sim::CoTask<void> DtxService::settle(SweepItem item) {
       if (item.age < cfg_.orphan_timeout) co_return;
       const std::uint32_t failures = ++resolve_failures_[fkey];
       bool abandoned = failures >= cfg_.abandon_resolve_failures;
-      if (!abandoned && !svc_nodes_.empty() && failures % 4 == 0) {
+      if (!abandoned && !svc_.empty() && failures % 4 == 0) {
         abandoned = co_await engine_excluded(lt.engine);
       }
       if (!abandoned) co_return;
@@ -293,37 +290,11 @@ sim::CoTask<void> DtxService::settle(SweepItem item) {
 }
 
 sim::CoTask<bool> DtxService::engine_excluded(net::NodeId engine) {
-  // The same map_query the clients use, with the usual leader-hint redirect
-  // dance (see RebuildService::report_done for the engine-side idiom).
-  for (int attempt = 0; attempt < kMapQueryAttempts; ++attempt) {
-    const net::NodeId dst =
-        svc_hint_ ? *svc_hint_ : svc_nodes_[std::size_t(attempt) % svc_nodes_.size()];
-    engine::PoolSvcReq preq{"map_query"};
-    Body body = Body::make(std::move(preq));
-    Reply r = co_await eng_.endpoint().call(dst, engine::kOpPoolSvc, std::move(body),
-                                            kMapQueryWireBytes);
-    if (r.status == Errno::ok) {
-      svc_hint_ = dst;
-      std::istringstream is(r.body.get<engine::PoolSvcResp>().response);
-      std::string status;
-      std::uint32_t version = 0;
-      std::size_t count = 0;
-      is >> status >> version >> count;
-      if (status != "ok") co_return false;
-      for (std::size_t i = 0; i < count; ++i) {
-        net::NodeId e = 0;
-        is >> e;
-        if (e == engine) co_return true;
-      }
-      co_return false;
-    }
-    svc_hint_.reset();
-    if (r.status == Errno::again && r.body.has_value()) {
-      svc_hint_ = r.body.get<engine::PoolSvcResp>().leader_hint;
-    }
-    co_await sched_.delay(kMapQueryRetryDelay);
-  }
-  co_return false;  // pool service unreachable: not authoritative, keep waiting
+  // The same map query the clients use; an unreachable service or a failed
+  // query is not authoritative.
+  const auto res = co_await svc_.request(pool::MapQuery{}, kMapQueryAttempts);
+  const auto state = pool::reply_as<pool::MapState>(res);
+  co_return state.ok() && state->excluded.contains(engine);
 }
 
 }  // namespace daosim::dtx

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "pool/command.hpp"
 #include "pool/pool_map.hpp"
 
 namespace daosim::dtx {
@@ -30,7 +31,7 @@ struct DtxConfig {
   /// which nobody else can reach either), so it must not stay prepared
   /// forever pinning dtx_min_prepared_epoch and the aggregation floor.
   /// Past orphan_timeout the reaper consults the pool service's exclusion
-  /// list (map_query) and aborts once the leader's engine is EXCLUDED; as a
+  /// list (MapQuery) and aborts once the leader's engine is EXCLUDED; as a
   /// backstop for maps that never converge, this many consecutive failed
   /// resolves force the same authoritative abort.
   std::uint32_t abandon_resolve_failures = 16;
@@ -40,7 +41,7 @@ class DtxService {
  public:
   /// @param base_map   the pool map at assembly time (membership only; maps
   ///                   the leader shard's map-target index to its engine)
-  /// @param svc_nodes  pool-service replica nodes (for map_query when a
+  /// @param svc_nodes  pool-service replica nodes (for MapQuery when a
   ///                   leader shard stays unreachable; empty disables the
   ///                   exclusion check, leaving only the failure backstop)
   DtxService(engine::Engine& eng, pool::PoolMap base_map, std::vector<net::NodeId> svc_nodes,
@@ -86,7 +87,7 @@ class DtxService {
   sim::CoTask<void> sweep(bool force);
   std::vector<SweepItem> collect_prepared() const;
   sim::CoTask<void> settle(SweepItem item);
-  /// Asks the pool service (map_query, with the usual leader-hint redirect)
+  /// Asks the pool service (MapQuery, with the usual leader-hint redirect)
   /// whether `engine` is in the Raft-committed exclusion list. False when
   /// the service is unreachable — absence of evidence is not authoritative.
   sim::CoTask<bool> engine_excluded(net::NodeId engine);
@@ -98,8 +99,7 @@ class DtxService {
   engine::Engine& eng_;
   sim::Scheduler& sched_;
   pool::PoolMap base_map_;
-  std::vector<net::NodeId> svc_nodes_;
-  std::optional<net::NodeId> svc_hint_;  // last pool-service leader that answered
+  pool::SvcRoute svc_;
   /// Consecutive failed leader resolves per prepared entry; reset on any
   /// successful resolve and pruned when the entry settles by other means.
   std::map<EntryKey, std::uint32_t> resolve_failures_;

@@ -22,6 +22,8 @@ constexpr std::uint16_t kOpObjEnumDkeys = 0x22;
 constexpr std::uint16_t kOpObjEnumAkeys = 0x23;
 constexpr std::uint16_t kOpObjPunch = 0x24;
 constexpr std::uint16_t kOpObjQuery = 0x25;
+/// Pool-service command. Its typed request/reply bodies live in
+/// pool/command.hpp: the engine layer does not depend on the pool module.
 constexpr std::uint16_t kOpPoolSvc = 0x30;
 
 // Rebuild protocol opcodes (0x40 block): the pool-service leader drives
@@ -292,17 +294,6 @@ struct TxResolveResp {
 struct ContAggregateReq {
   vos::Uuid cont;
   std::uint32_t target = 0;
-};
-
-/// Pool service client command: an opaque state-machine command string
-/// submitted to the Raft leader co-located with the engine.
-struct PoolSvcReq {
-  std::string command;
-};
-
-struct PoolSvcResp {
-  std::string response;                      // state machine output
-  std::optional<net::NodeId> leader_hint{};  // when redirected
 };
 
 /// SWIM gossip: one member's state as known to the sender, piggybacked on

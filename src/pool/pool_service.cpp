@@ -1,14 +1,10 @@
 #include "pool/pool_service.hpp"
 
-#include <charconv>
-#include <sstream>
-
 #include "engine/proto.hpp"
 
 namespace daosim::pool {
 
 using net::Body;
-using net::Reply;
 using net::Request;
 
 namespace {
@@ -20,141 +16,113 @@ constexpr sim::Time kCoordTick = 50 * sim::kMs;
 /// unresponsive participant (models SWIM-style failure detection; without it
 /// a participant that crashes mid-rebuild wedges the task forever).
 constexpr int kScanFailEvict = 3;
+/// Fixed header of every pool-service reply.
+constexpr std::uint64_t kReplyHeaderBytes = 64;
 
 // Trace-digest tags for rebuild coordination milestones.
 constexpr std::uint64_t kTraceRebuildDrive = 0xFA17E005'0000'0000ULL;
 constexpr std::uint64_t kTraceRebuildAssign = 0xFA17E006'0000'0000ULL;
 constexpr std::uint64_t kTraceRebuildDone = 0xFA17E007'0000'0000ULL;
+
+template <typename T = std::monostate>
+Reply ok(T payload = {}) {
+  return {Errno::ok, ReplyBody(std::in_place_type<T>, std::move(payload))};
+}
+Reply fail(Errno e) { return {e, {}}; }
 }  // namespace
 
-Result<std::vector<vos::Epoch>> parse_snap_list(std::string_view reply) {
-  if (reply == "ENOENT") return Errno::no_entry;
-  if (!reply.starts_with("ok")) return Errno::io;
-  std::vector<vos::Epoch> fields;  // the count, then that many epochs
-  for (std::size_t at = 2; at < reply.size();) {
-    const char* end = reply.data() + reply.size();
-    const auto [next, ec] = std::from_chars(reply.data() + at + 1, end, fields.emplace_back());
-    if (reply[at] != ' ' || ec != std::errc{}) return Errno::io;
-    at = std::size_t(next - reply.data());
-  }
-  if (fields.empty() || fields.front() != fields.size() - 1) return Errno::io;
-  return std::vector<vos::Epoch>(fields.begin() + 1, fields.end());
+Reply PoolMetaSm::apply(const Command& cmd) {
+  return std::visit([this](const auto& c) { return exec(c); }, cmd);
 }
 
-std::string PoolMetaSm::apply(const std::string& command) {
-  std::istringstream is(command);
-  std::string op;
-  is >> op;
-  if (op == "cont_create") {
-    vos::Uuid u;
-    ContMeta meta;
-    std::uint64_t chunk = 0;
-    unsigned oclass = 0;
-    is >> u.hi >> u.lo >> chunk >> oclass;
-    meta.props.chunk_size = chunk;
-    meta.props.oclass = std::uint8_t(oclass);
-    if (containers_.contains(u)) return "EEXIST";
-    containers_.emplace(u, meta);
-    return "ok";
+net::Body PoolMetaSm::apply(const net::Body& command) {
+  return Body::make(apply(command.get<Command>()));
+}
+
+Reply PoolMetaSm::exec(const ContCreate& c) {
+  if (!s_.containers.emplace(c.cont, ContMeta{c.props, 1, {}}).second) return fail(Errno::exists);
+  return ok();
+}
+
+Reply PoolMetaSm::exec(const ContOpen& c) {
+  const auto it = s_.containers.find(c.cont);
+  if (it == s_.containers.end()) return fail(Errno::no_entry);
+  return ok(it->second.props);
+}
+
+Reply PoolMetaSm::exec(const ContDestroy& c) {
+  return s_.containers.erase(c.cont) > 0 ? ok() : fail(Errno::no_entry);
+}
+
+Reply PoolMetaSm::exec(const AllocOids& c) {
+  const auto it = s_.containers.find(c.cont);
+  if (it == s_.containers.end()) return fail(Errno::no_entry);
+  const std::uint64_t base = it->second.oid_counter;
+  it->second.oid_counter += c.count;
+  return ok(OidBase{base});
+}
+
+Reply PoolMetaSm::exec(const ListConts&) {
+  ContList out;
+  for (const auto& [u, meta] : s_.containers) out.conts.push_back(u);
+  return ok(std::move(out));
+}
+
+Reply PoolMetaSm::exec(const PoolEvict& c) {
+  if (s_.excluded.insert(c.engine).second) {
+    ++s_.map_version;
+    s_.evicted_at[c.engine] = s_.map_version;
+    // Delta log BEFORE start_rebuild: requeues may bump map_version again
+    // without a membership change, and the log records only the latter.
+    s_.deltas.push_back(MapDelta{s_.map_version, c.engine, /*excluded=*/true});
+    start_rebuild(/*resync=*/false, c.engine, 0);
   }
-  if (op == "cont_open") {
-    vos::Uuid u;
-    is >> u.hi >> u.lo;
-    auto it = containers_.find(u);
-    if (it == containers_.end()) return "ENOENT";
-    return strfmt("ok %llu %u", static_cast<unsigned long long>(it->second.props.chunk_size),
-                  unsigned(it->second.props.oclass));
+  return ok(MapVersion{s_.map_version});
+}
+
+Reply PoolMetaSm::exec(const PoolReint& c) {
+  if (s_.excluded.erase(c.engine) > 0) {
+    ++s_.map_version;
+    s_.deltas.push_back(MapDelta{s_.map_version, c.engine, /*excluded=*/false});
+    const auto it = s_.evicted_at.find(c.engine);
+    start_rebuild(/*resync=*/true, c.engine, it != s_.evicted_at.end() ? it->second : 0);
   }
-  if (op == "cont_destroy") {
-    vos::Uuid u;
-    is >> u.hi >> u.lo;
-    return containers_.erase(u) > 0 ? "ok" : "ENOENT";
+  return ok(MapVersion{s_.map_version});
+}
+
+Reply PoolMetaSm::exec(const MapQuery&) {
+  return ok(MapState{s_.map_version, s_.excluded});
+}
+
+Reply PoolMetaSm::exec(const RebuildDone& c) {
+  const auto it = s_.rebuilds.find(c.version);
+  if (it == s_.rebuilds.end()) return ok(DoneOutcome::stale);
+  // Duplicate-apply guard: a retried report (lost reply, re-driven task)
+  // must not double-count the engine.
+  if (!it->second.done.insert(c.engine).second) return ok(DoneOutcome::dup);
+  return ok(DoneOutcome::counted);
+}
+
+Reply PoolMetaSm::exec(const SnapCreate& c) {
+  const auto it = s_.containers.find(c.cont);
+  if (it == s_.containers.end()) return fail(Errno::no_entry);
+  it->second.snapshots.insert(c.epoch);  // idempotent: re-creating is a no-op
+  return ok();
+}
+
+Reply PoolMetaSm::exec(const SnapDestroy& c) {
+  const auto it = s_.containers.find(c.cont);
+  if (it == s_.containers.end() || it->second.snapshots.erase(c.epoch) == 0) {
+    return fail(Errno::no_entry);
   }
-  if (op == "alloc_oids") {
-    vos::Uuid u;
-    std::uint64_t count = 0;
-    is >> u.hi >> u.lo >> count;
-    auto it = containers_.find(u);
-    if (it == containers_.end()) return "ENOENT";
-    const std::uint64_t base = it->second.oid_counter;
-    it->second.oid_counter += count;
-    return strfmt("ok %llu", static_cast<unsigned long long>(base));
-  }
-  if (op == "list_conts") {
-    std::ostringstream os;
-    os << "ok " << containers_.size();
-    for (const auto& [u, meta] : containers_) os << ' ' << u.hi << ' ' << u.lo;
-    return os.str();
-  }
-  if (op == "pool_evict") {
-    net::NodeId engine = 0;
-    is >> engine;
-    if (excluded_.insert(engine).second) {
-      ++map_version_;
-      evicted_at_[engine] = map_version_;
-      // Delta log BEFORE start_rebuild: requeues may bump map_version_ again
-      // without a membership change, and the log records only the latter.
-      deltas_.push_back(MapDelta{map_version_, engine, /*excluded=*/true});
-      start_rebuild(/*resync=*/false, engine, 0);
-    }
-    return strfmt("ok %u", map_version_);
-  }
-  if (op == "pool_reint") {
-    net::NodeId engine = 0;
-    is >> engine;
-    if (excluded_.erase(engine) > 0) {
-      ++map_version_;
-      deltas_.push_back(MapDelta{map_version_, engine, /*excluded=*/false});
-      const auto it = evicted_at_.find(engine);
-      start_rebuild(/*resync=*/true, engine, it != evicted_at_.end() ? it->second : 0);
-    }
-    return strfmt("ok %u", map_version_);
-  }
-  if (op == "rebuild_done") {
-    net::NodeId engine = 0;
-    std::uint32_t version = 0;
-    is >> engine >> version;
-    auto it = rebuilds_.find(version);
-    if (it == rebuilds_.end()) return "ok stale";
-    // Duplicate-apply guard: a retried report (lost reply, re-driven task)
-    // must not double-count the engine.
-    if (!it->second.done.insert(engine).second) return "ok dup";
-    return "ok";
-  }
-  if (op == "snap_create") {
-    vos::Uuid u;
-    vos::Epoch e = 0;
-    is >> u.hi >> u.lo >> e;
-    auto it = containers_.find(u);
-    if (it == containers_.end()) return "ENOENT";
-    it->second.snapshots.insert(e);  // idempotent: re-creating is a no-op
-    return "ok";
-  }
-  if (op == "snap_destroy") {
-    vos::Uuid u;
-    vos::Epoch e = 0;
-    is >> u.hi >> u.lo >> e;
-    auto it = containers_.find(u);
-    if (it == containers_.end()) return "ENOENT";
-    return it->second.snapshots.erase(e) > 0 ? "ok" : "ENOENT";
-  }
-  if (op == "snap_list") {
-    vos::Uuid u;
-    is >> u.hi >> u.lo;
-    auto it = containers_.find(u);
-    if (it == containers_.end()) return "ENOENT";
-    std::ostringstream os;
-    os << "ok " << it->second.snapshots.size();
-    for (const vos::Epoch e : it->second.snapshots) os << ' ' << e;
-    return os.str();
-  }
-  if (op == "map_query") {
-    std::ostringstream os;
-    os << "ok " << map_version_ << ' ' << excluded_.size();
-    for (const net::NodeId e : excluded_) os << ' ' << e;
-    return os.str();
-  }
-  return "EINVAL";
+  return ok();
+}
+
+Reply PoolMetaSm::exec(const SnapList& c) {
+  const auto it = s_.containers.find(c.cont);
+  if (it == s_.containers.end()) return fail(Errno::no_entry);
+  const auto& snaps = it->second.snapshots;
+  return ok(SnapEpochs{{snaps.begin(), snaps.end()}});
 }
 
 void PoolMetaSm::start_rebuild(bool resync, net::NodeId node, std::uint32_t since_version) {
@@ -167,14 +135,14 @@ void PoolMetaSm::start_rebuild(bool resync, net::NodeId node, std::uint32_t sinc
   // new map.
   bool requeue_repair = false;
   std::map<net::NodeId, std::uint32_t> requeue_resyncs;  // node -> since_version
-  for (auto& [v, t] : rebuilds_) {
+  for (auto& [v, t] : s_.rebuilds) {
     if (t.complete()) continue;
     t.superseded = true;
     if (t.resync) {
       // A pending resync survives unless its engine was evicted again (then
       // the eviction rebuild restores its replicas from the survivors) or
       // this very event re-creates it.
-      if (t.node != node && !excluded_.contains(t.node)) {
+      if (t.node != node && !s_.excluded.contains(t.node)) {
         requeue_resyncs.emplace(t.node, t.since_version);
       }
     } else if (resync) {
@@ -185,45 +153,45 @@ void PoolMetaSm::start_rebuild(bool resync, net::NodeId node, std::uint32_t sinc
   }
   queue_task(resync, node, since_version);
   for (const auto& [n, since] : requeue_resyncs) {
-    ++map_version_;
+    ++s_.map_version;
     queue_task(/*resync=*/true, n, since);
   }
-  if (requeue_repair && !excluded_.empty()) {
-    ++map_version_;
+  if (requeue_repair && !s_.excluded.empty()) {
+    ++s_.map_version;
     queue_task(/*resync=*/false, /*node=*/0, /*since_version=*/0);
   }
 }
 
 void PoolMetaSm::queue_task(bool resync, net::NodeId node, std::uint32_t since_version) {
   RebuildTask task;
-  task.version = map_version_;
+  task.version = s_.map_version;
   task.resync = resync;
   task.node = node;
   task.since_version = since_version;
-  task.excluded = excluded_;
+  task.excluded = s_.excluded;
   for (const net::NodeId e : engines_) {
-    if (!excluded_.contains(e)) task.participants.insert(e);
+    if (!s_.excluded.contains(e)) task.participants.insert(e);
   }
   if (task.participants.empty()) return;
-  rebuilds_.emplace(map_version_, std::move(task));
+  s_.rebuilds.emplace(s_.map_version, std::move(task));
 }
 
 std::vector<PoolMetaSm::MapDelta> PoolMetaSm::deltas_since(std::uint32_t version) const {
   std::vector<MapDelta> out;
-  for (const MapDelta& d : deltas_) {
+  for (const MapDelta& d : s_.deltas) {
     if (d.version > version) out.push_back(d);
   }
   return out;
 }
 
 const PoolMetaSm::RebuildTask* PoolMetaSm::rebuild_task(std::uint32_t version) const {
-  const auto it = rebuilds_.find(version);
-  return it == rebuilds_.end() ? nullptr : &it->second;
+  const auto it = s_.rebuilds.find(version);
+  return it == s_.rebuilds.end() ? nullptr : &it->second;
 }
 
 std::optional<std::uint32_t> PoolMetaSm::newest_incomplete_rebuild() const {
   std::optional<std::uint32_t> out;
-  for (const auto& [v, t] : rebuilds_) {
+  for (const auto& [v, t] : s_.rebuilds) {
     if (!t.complete()) out = v;
   }
   return out;
@@ -231,7 +199,7 @@ std::optional<std::uint32_t> PoolMetaSm::newest_incomplete_rebuild() const {
 
 std::vector<std::uint32_t> PoolMetaSm::incomplete_rebuilds() const {
   std::vector<std::uint32_t> out;
-  for (const auto& [v, t] : rebuilds_) {
+  for (const auto& [v, t] : s_.rebuilds) {
     if (!t.complete()) out.push_back(v);
   }
   return out;
@@ -239,141 +207,27 @@ std::vector<std::uint32_t> PoolMetaSm::incomplete_rebuilds() const {
 
 std::size_t PoolMetaSm::rebuilds_incomplete() const {
   std::size_t n = 0;
-  for (const auto& [v, t] : rebuilds_) {
+  for (const auto& [v, t] : s_.rebuilds) {
     if (!t.complete()) ++n;
   }
   return n;
 }
 
-std::string PoolMetaSm::snapshot() const {
-  std::ostringstream os;
-  os << containers_.size() << '\n';
-  for (const auto& [u, m] : containers_) {
-    os << u.hi << ' ' << u.lo << ' ' << m.props.chunk_size << ' ' << unsigned(m.props.oclass)
-       << ' ' << m.oid_counter << '\n';
+raft::Snapshot PoolMetaSm::snapshot() const {
+  // Modelled wire size: every field at its fixed width.
+  std::uint64_t bytes = sizeof(s_.map_version) + 4 * s_.excluded.size() +
+                        8 * s_.evicted_at.size() + sizeof(MapDelta) * s_.deltas.size();
+  for (const auto& [u, m] : s_.containers) {
+    bytes += sizeof(u) + sizeof(m.props) + sizeof(m.oid_counter) + 8 * m.snapshots.size();
   }
-  os << map_version_ << ' ' << excluded_.size();
-  for (const net::NodeId e : excluded_) os << ' ' << e;
-  os << '\n';
-  os << evicted_at_.size();
-  for (const auto& [e, v] : evicted_at_) os << ' ' << e << ' ' << v;
-  os << '\n';
-  os << rebuilds_.size() << '\n';
-  for (const auto& [v, t] : rebuilds_) {
-    os << t.version << ' ' << (t.resync ? 1 : 0) << ' ' << t.node << ' ' << t.since_version
-       << ' ' << (t.superseded ? 1 : 0);
-    os << ' ' << t.excluded.size();
-    for (const net::NodeId e : t.excluded) os << ' ' << e;
-    os << ' ' << t.participants.size();
-    for (const net::NodeId e : t.participants) os << ' ' << e;
-    os << ' ' << t.done.size();
-    for (const net::NodeId e : t.done) os << ' ' << e;
-    os << '\n';
+  for (const auto& [v, t] : s_.rebuilds) {
+    bytes += 16 + 4 * (t.excluded.size() + t.participants.size() + t.done.size());
   }
-  // Container snapshot epochs, appended last so older snapshots (without the
-  // section) still restore.
-  std::size_t with_snaps = 0;
-  for (const auto& [u, m] : containers_) with_snaps += m.snapshots.empty() ? 0 : 1;
-  os << with_snaps << '\n';
-  for (const auto& [u, m] : containers_) {
-    if (m.snapshots.empty()) continue;
-    os << u.hi << ' ' << u.lo << ' ' << m.snapshots.size();
-    for (const vos::Epoch e : m.snapshots) os << ' ' << e;
-    os << '\n';
-  }
-  // IV delta log, appended last so older snapshots still restore.
-  os << deltas_.size() << '\n';
-  for (const MapDelta& d : deltas_) {
-    os << d.version << ' ' << d.engine << ' ' << (d.excluded ? 1 : 0) << '\n';
-  }
-  return os.str();
+  return {Body::make(s_), bytes};
 }
 
-void PoolMetaSm::restore(const std::string& snap) {
-  containers_.clear();
-  map_version_ = 1;
-  excluded_.clear();
-  evicted_at_.clear();
-  rebuilds_.clear();
-  deltas_.clear();
-  if (snap.empty()) return;
-  std::istringstream is(snap);
-  std::size_t n = 0;
-  is >> n;
-  for (std::size_t i = 0; i < n; ++i) {
-    vos::Uuid u;
-    ContMeta m;
-    std::uint64_t chunk = 0;
-    unsigned oclass = 0;
-    is >> u.hi >> u.lo >> chunk >> oclass >> m.oid_counter;
-    m.props.chunk_size = chunk;
-    m.props.oclass = std::uint8_t(oclass);
-    containers_.emplace(u, m);
-  }
-  std::size_t nexcluded = 0;
-  if (is >> map_version_ >> nexcluded) {
-    for (std::size_t i = 0; i < nexcluded; ++i) {
-      net::NodeId e = 0;
-      is >> e;
-      excluded_.insert(e);
-    }
-  } else {
-    map_version_ = 1;  // snapshot from before health tracking existed
-    return;
-  }
-  std::size_t nevict = 0;
-  if (!(is >> nevict)) return;  // snapshot from before rebuild tracking existed
-  for (std::size_t i = 0; i < nevict; ++i) {
-    net::NodeId e = 0;
-    std::uint32_t v = 0;
-    is >> e >> v;
-    evicted_at_[e] = v;
-  }
-  std::size_t ntasks = 0;
-  is >> ntasks;
-  const auto read_set = [&is](std::set<net::NodeId>& out) {
-    std::size_t count = 0;
-    is >> count;
-    for (std::size_t i = 0; i < count; ++i) {
-      net::NodeId e = 0;
-      is >> e;
-      out.insert(e);
-    }
-  };
-  for (std::size_t i = 0; i < ntasks; ++i) {
-    RebuildTask t;
-    int resync = 0;
-    int superseded = 0;
-    is >> t.version >> resync >> t.node >> t.since_version >> superseded;
-    t.resync = resync != 0;
-    t.superseded = superseded != 0;
-    read_set(t.excluded);
-    read_set(t.participants);
-    read_set(t.done);
-    rebuilds_.emplace(t.version, std::move(t));
-  }
-  std::size_t nsnap = 0;
-  if (!(is >> nsnap)) return;  // snapshot from before container snapshots existed
-  for (std::size_t i = 0; i < nsnap; ++i) {
-    vos::Uuid u;
-    std::size_t count = 0;
-    is >> u.hi >> u.lo >> count;
-    auto it = containers_.find(u);
-    for (std::size_t k = 0; k < count; ++k) {
-      vos::Epoch e = 0;
-      is >> e;
-      if (it != containers_.end()) it->second.snapshots.insert(e);
-    }
-  }
-  std::size_t ndelta = 0;
-  if (!(is >> ndelta)) return;  // snapshot from before the IV delta log existed
-  for (std::size_t i = 0; i < ndelta; ++i) {
-    MapDelta d;
-    int excluded = 0;
-    is >> d.version >> d.engine >> excluded;
-    d.excluded = excluded != 0;
-    deltas_.push_back(d);
-  }
+void PoolMetaSm::restore(const net::Body& state) {
+  s_ = state.has_value() ? state.get<State>() : State{};
 }
 
 PoolServiceReplica::PoolServiceReplica(net::RpcEndpoint& ep, std::vector<net::NodeId> replicas,
@@ -453,11 +307,9 @@ sim::CoTask<void> PoolServiceReplica::drive_task(std::uint32_t version) {
   for (const net::NodeId node : task.participants) {
     engine::RebuildScanReq req = base;
     Body body = Body::make(std::move(req));
-    Reply r = co_await ep_.call(node, engine::kOpRebuildScan, std::move(body), 512);
+    net::Reply r = co_await ep_.call(node, engine::kOpRebuildScan, std::move(body), 512);
     if (r.status != Errno::ok) {
-      if (++scan_fail_[{version, node}] >= kScanFailEvict) {
-        co_await raft_->submit(strfmt("pool_evict %u", node));
-      }
+      if (++scan_fail_[{version, node}] >= kScanFailEvict) co_await commit(PoolEvict{node});
       co_return;  // superseded or retried next tick
     }
     scan_fail_.erase({version, node});
@@ -477,11 +329,9 @@ sim::CoTask<void> PoolServiceReplica::drive_task(std::uint32_t version) {
     if (const auto it = by_dst.find(node); it != by_dst.end()) req.entries = it->second;
     const std::uint64_t wire = 512 + 64 * req.entries.size();
     Body body = Body::make(std::move(req));
-    Reply r = co_await ep_.call(node, engine::kOpRebuildScan, std::move(body), wire);
+    net::Reply r = co_await ep_.call(node, engine::kOpRebuildScan, std::move(body), wire);
     if (r.status != Errno::ok) {
-      if (++scan_fail_[{version, node}] >= kScanFailEvict) {
-        co_await raft_->submit(strfmt("pool_evict %u", node));
-      }
+      if (++scan_fail_[{version, node}] >= kScanFailEvict) co_await commit(PoolEvict{node});
       co_return;
     }
     scan_fail_.erase({version, node});
@@ -489,39 +339,43 @@ sim::CoTask<void> PoolServiceReplica::drive_task(std::uint32_t version) {
   ep_.domain().scheduler().trace_note(kTraceRebuildAssign ^ version);
 }
 
+sim::CoTask<raft::SubmitResult> PoolServiceReplica::commit(const Command& cmd) {
+  return raft_->submit(Body::make(cmd), wire_bytes(cmd));
+}
+
 sim::CoTask<net::Reply> PoolServiceReplica::on_rebuild_done(net::Request req) {
   const auto& r = req.body.get<engine::RebuildDoneReq>();
   if (!raft_->is_leader()) {
     engine::RebuildDoneResp resp{raft_->leader_hint()};
-    co_return Reply{Errno::again, 64, Body::make(std::move(resp))};
+    co_return net::Reply{Errno::again, kReplyHeaderBytes, Body::make(std::move(resp))};
   }
-  raft::SubmitResult sr = co_await raft_->submit(
-      strfmt("rebuild_done %u %u", r.engine, r.version));
+  raft::SubmitResult sr = co_await commit(RebuildDone{r.engine, r.version});
   if (sr.status != Errno::ok) {
     engine::RebuildDoneResp resp{sr.leader_hint};
-    co_return Reply{sr.status, 64, Body::make(std::move(resp))};
+    co_return net::Reply{sr.status, kReplyHeaderBytes, Body::make(std::move(resp))};
   }
   rebuild_reports_->inc();
   ep_.domain().scheduler().trace_note(kTraceRebuildDone ^ (std::uint64_t(r.version) << 16) ^
                                       r.engine);
   engine::RebuildDoneResp resp{raft_->leader_hint()};
-  co_return Reply{Errno::ok, 64, Body::make(std::move(resp))};
+  co_return net::Reply{Errno::ok, kReplyHeaderBytes, Body::make(std::move(resp))};
 }
 
 sim::CoTask<net::Reply> PoolServiceReplica::on_client_command(net::Request req) {
-  const auto& r = req.body.get<engine::PoolSvcReq>();
+  const auto& r = req.body.get<PoolSvcReq>();
   if (!raft_->is_leader()) {
-    engine::PoolSvcResp resp{{}, raft_->leader_hint()};
-    co_return Reply{Errno::again, 64, Body::make(std::move(resp))};
+    PoolSvcResp resp{{}, raft_->leader_hint()};
+    co_return net::Reply{Errno::again, kReplyHeaderBytes, Body::make(std::move(resp))};
   }
-  raft::SubmitResult sr = co_await raft_->submit(r.command);
+  raft::SubmitResult sr = co_await commit(r.command);
   if (sr.status != Errno::ok) {
-    engine::PoolSvcResp resp{{}, sr.leader_hint};
-    co_return Reply{sr.status, 64, Body::make(std::move(resp))};
+    PoolSvcResp resp{{}, sr.leader_hint};
+    co_return net::Reply{sr.status, kReplyHeaderBytes, Body::make(std::move(resp))};
   }
   commands_applied_->inc();
-  engine::PoolSvcResp resp{std::move(sr.response), raft_->leader_hint()};
-  co_return Reply{Errno::ok, 64 + resp.response.size(), Body::make(std::move(resp))};
+  PoolSvcResp resp{std::move(sr.response.get<Reply>()), raft_->leader_hint()};
+  const std::uint64_t wire = kReplyHeaderBytes + wire_bytes(resp.reply);
+  co_return net::Reply{Errno::ok, wire, Body::make(std::move(resp))};
 }
 
 }  // namespace daosim::pool

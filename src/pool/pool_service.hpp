@@ -3,47 +3,32 @@
 // properties) and object-ID range allocation, all serialized through the
 // Raft log so every replica applies the same transactional updates.
 //
-// Commands are line-oriented strings (deterministic, snapshot-friendly):
-//   cont_create <hi> <lo> <chunk> <oclass>   -> "ok" | "EEXIST"
-//   cont_open <hi> <lo>                      -> "ok <chunk> <oclass>" | "ENOENT"
-//   cont_destroy <hi> <lo>                   -> "ok" | "ENOENT"
-//   alloc_oids <hi> <lo> <count>             -> "ok <base>" | "ENOENT"
-//   list_conts                               -> "ok <n> <hi> <lo> ..."
-//   pool_evict <engine>                      -> "ok <map_version>"   (idempotent)
-//   pool_reint <engine>                      -> "ok <map_version>"   (idempotent)
-//   map_query                                -> "ok <map_version> <k> <engine> ..."
-//   rebuild_done <engine> <version>          -> "ok" | "ok dup" | "ok stale"
-//   snap_create <hi> <lo> <epoch>            -> "ok" | "ENOENT"
-//   snap_destroy <hi> <lo> <epoch>           -> "ok" | "ENOENT"
-//   snap_list <hi> <lo>                      -> "ok <n> <epoch> ..." | "ENOENT"
+// Commands are typed structs (pool/command.hpp lists them with their
+// replies); snapshots are immutable copies of PoolMetaSm::State.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
-#include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "net/rpc.hpp"
+#include "pool/command.hpp"
 #include "pool/pool_map.hpp"
 #include "raft/raft.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace daosim::pool {
 
-/// The epochs of a snap_list reply, ascending. Errno::no_entry for "ENOENT";
-/// Errno::io for any other status or a short, long or non-numeric list.
-Result<std::vector<vos::Epoch>> parse_snap_list(std::string_view reply);
-
 /// Raft state machine holding the pool's container metadata.
 class PoolMetaSm final : public raft::StateMachine {
  public:
-  std::string apply(const std::string& command) override;
-  std::string snapshot() const override;
-  void restore(const std::string& snap) override;
+  Reply apply(const Command& cmd);
+  net::Body apply(const net::Body& command) override;  // a Command in, a Reply out
+  raft::Snapshot snapshot() const override;
+  void restore(const net::Body& state) override;
 
   struct ContMeta {
     ContProps props;
@@ -52,15 +37,8 @@ class PoolMetaSm final : public raft::StateMachine {
     /// metadata). Readers pin an epoch in this set; aggregation must stay
     /// below the lowest entry so pinned history is never merged away.
     std::set<vos::Epoch> snapshots;
+    bool operator==(const ContMeta&) const = default;
   };
-  const std::map<vos::Uuid, ContMeta>& containers() const { return containers_; }
-
-  /// Pool-map health state, replicated through the Raft log. The version
-  /// starts at 1 (the map handed out at connect) and bumps exactly once per
-  /// effective eviction/reintegration; repeated evictions of the same engine
-  /// are no-ops returning the current version.
-  std::uint32_t map_version() const { return map_version_; }
-  const std::set<net::NodeId>& excluded_engines() const { return excluded_; }
 
   /// One committed membership change, for the IV delta log. Rebuild requeues
   /// bump map_version() without a membership change, so the log is sparse:
@@ -70,9 +48,8 @@ class PoolMetaSm final : public raft::StateMachine {
     std::uint32_t version = 0;
     net::NodeId engine = 0;
     bool excluded = false;  // true: eviction; false: reintegration
+    bool operator==(const MapDelta&) const = default;
   };
-  /// Append-only since version 1 — deltas_since(v) is complete for any v.
-  const std::vector<MapDelta>& map_deltas() const { return deltas_; }
   std::vector<MapDelta> deltas_since(std::uint32_t version) const;
 
   /// One rebuild task, Raft-replicated with the rest of the pool metadata:
@@ -96,14 +73,34 @@ class PoolMetaSm final : public raft::StateMachine {
       }
       return true;
     }
+    bool operator==(const RebuildTask&) const = default;
   };
+
+  /// The whole replicated state: what snapshot() copies and restore()
+  /// installs.
+  struct State {
+    std::map<vos::Uuid, ContMeta> containers;
+    /// Pool-map health: starts at 1 (the map handed out at connect) and
+    /// bumps exactly once per effective eviction/reintegration; repeated
+    /// evictions of the same engine are no-ops returning the current version.
+    std::uint32_t map_version = 1;
+    std::set<net::NodeId> excluded;
+    std::map<net::NodeId, std::uint32_t> evicted_at;  // engine -> eviction map version
+    std::map<std::uint32_t, RebuildTask> rebuilds;    // keyed by map version
+    std::vector<MapDelta> deltas;  // IV delta log, version-ascending, append-only
+    bool operator==(const State&) const = default;
+  };
+  const State& state() const { return s_; }
+  const std::map<vos::Uuid, ContMeta>& containers() const { return s_.containers; }
+  std::uint32_t map_version() const { return s_.map_version; }
+  const std::set<net::NodeId>& excluded_engines() const { return s_.excluded; }
 
   /// Engine roster (static cluster config, derived from the pool map by every
   /// replica identically — not part of the replicated state). Rebuild tasks
   /// are only created once the roster is known.
   void set_engines(std::set<net::NodeId> engines) { engines_ = std::move(engines); }
 
-  const std::map<std::uint32_t, RebuildTask>& rebuild_tasks() const { return rebuilds_; }
+  const std::map<std::uint32_t, RebuildTask>& rebuild_tasks() const { return s_.rebuilds; }
   const RebuildTask* rebuild_task(std::uint32_t version) const;
   /// Highest-version task still in flight.
   std::optional<std::uint32_t> newest_incomplete_rebuild() const;
@@ -113,18 +110,25 @@ class PoolMetaSm final : public raft::StateMachine {
   std::size_t rebuilds_incomplete() const;
 
  private:
+  Reply exec(const ContCreate& c);
+  Reply exec(const ContOpen& c);
+  Reply exec(const ContDestroy& c);
+  Reply exec(const AllocOids& c);
+  Reply exec(const ListConts& c);
+  Reply exec(const PoolEvict& c);
+  Reply exec(const PoolReint& c);
+  Reply exec(const MapQuery& c);
+  Reply exec(const RebuildDone& c);
+  Reply exec(const SnapCreate& c);
+  Reply exec(const SnapDestroy& c);
+  Reply exec(const SnapList& c);
   void start_rebuild(bool resync, net::NodeId node, std::uint32_t since_version);
   /// Creates one rebuild task at the current map version against the current
   /// exclusion set and surviving-engine roster.
   void queue_task(bool resync, net::NodeId node, std::uint32_t since_version);
 
-  std::map<vos::Uuid, ContMeta> containers_;
-  std::uint32_t map_version_ = 1;
-  std::set<net::NodeId> excluded_;
+  State s_;
   std::set<net::NodeId> engines_;
-  std::map<net::NodeId, std::uint32_t> evicted_at_;  // engine -> eviction map version
-  std::map<std::uint32_t, RebuildTask> rebuilds_;    // keyed by map version
-  std::vector<MapDelta> deltas_;                     // IV delta log, version-ascending
 };
 
 /// One pool-service replica, sharing an engine's RPC endpoint. The replica
@@ -156,6 +160,8 @@ class PoolServiceReplica {
   /// from the Raft-committed state.
   sim::CoTask<void> coordinator_loop();
   sim::CoTask<void> drive_task(std::uint32_t version);
+  /// Replicates one command through the Raft log.
+  sim::CoTask<raft::SubmitResult> commit(const Command& cmd);
 
   net::RpcEndpoint& ep_;
   PoolMap map_;

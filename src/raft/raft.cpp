@@ -63,7 +63,7 @@ std::optional<LogEntry> RaftNode::entry_at(std::uint64_t index) const {
 
 std::uint64_t RaftNode::entries_wire_size(const std::vector<LogEntry>& es) {
   std::uint64_t b = kControlMsgBytes;
-  for (const auto& e : es) b += e.command.size() + 24;
+  for (const auto& e : es) b += e.wire_bytes + 24;
   return b;
 }
 
@@ -97,7 +97,7 @@ void RaftNode::restart() {
   leader_hint_.reset();
   commit_ = snap_last_index_;
   applied_ = snap_last_index_;
-  sm_.restore(snap_data_);
+  sm_.restore(snap_.state);
   apply_notify_->reset();
   for (auto& [peer, ev] : peer_notify_) ev->reset();
   start();
@@ -121,7 +121,7 @@ void RaftNode::become_leader() {
     match_index_[m] = 0;
   }
   // Barrier no-op: commits entries from previous terms (Raft §5.4.2).
-  log_.push_back(LogEntry{term_, ""});
+  log_.push_back(LogEntry{term_, {}, 0});
   for (auto m : members_) {
     if (m != ep_.node()) sched_.spawn(replicator(m));
   }
@@ -159,7 +159,7 @@ void RaftNode::advance_commit() {
 
 void RaftNode::maybe_compact() {
   if (log_.size() <= cfg_.snapshot_threshold || applied_ <= snap_last_index_) return;
-  snap_data_ = sm_.snapshot();
+  snap_ = sm_.snapshot();
   snap_last_term_ = term_at(applied_);
   const std::uint64_t drop = applied_ - snap_last_index_;
   log_.erase(log_.begin(), log_.begin() + std::ptrdiff_t(drop));
@@ -228,9 +228,9 @@ sim::CoTask<void> RaftNode::replicator(net::NodeId peer) {
     std::uint64_t ni = next_index_[peer];
     if (ni <= snap_last_index_) {
       // Follower is behind the compacted log: ship the snapshot.
-      SnapReq req{term, ep_.node(), snap_last_index_, snap_last_term_, snap_data_};
+      SnapReq req{term, ep_.node(), snap_last_index_, snap_last_term_, snap_};
       Reply r = co_await ep_.call(peer, kOpInstallSnapshot, Body::make(req),
-                                  kControlMsgBytes + snap_data_.size());
+                                  kControlMsgBytes + snap_.wire_bytes);
       if (!running_ || epoch != epoch_ || term_ != term || role_ != Role::leader) co_return;
       if (r.status == Errno::ok) {
         const auto& resp = r.body.get<SnapResp>();
@@ -291,7 +291,7 @@ sim::CoTask<void> RaftNode::apply_loop() {
       auto entry = entry_at(applied_);
       DAOSIM_REQUIRE(entry.has_value(), "committed entry %llu missing from log",
                      static_cast<unsigned long long>(applied_));
-      std::string response = entry->command.empty() ? std::string() : sm_.apply(entry->command);
+      Body response = entry->command.has_value() ? sm_.apply(entry->command) : Body();
       auto it = waiters_.find(applied_);
       if (it != waiters_.end()) {
         Waiter* w = it->second;
@@ -311,11 +311,11 @@ sim::CoTask<void> RaftNode::apply_loop() {
 // ---------------------------------------------------------------------------
 // Client interface
 
-sim::CoTask<SubmitResult> RaftNode::submit(std::string command) {
+sim::CoTask<SubmitResult> RaftNode::submit(net::Body command, std::uint64_t wire_bytes) {
   if (!running_ || role_ != Role::leader) {
     co_return SubmitResult{Errno::again, {}, leader_hint_};
   }
-  log_.push_back(LogEntry{term_, std::move(command)});
+  log_.push_back(LogEntry{term_, std::move(command), wire_bytes});
   const std::uint64_t index = last_log_index();
   Waiter waiter(sched_);
   waiter.term = term_;
@@ -403,8 +403,8 @@ sim::CoTask<net::Reply> RaftNode::on_install_snapshot(net::Request req) {
   leader_hint_ = snap.leader;
   election_deadline_ = sched_.now() + random_timeout();
   if (snap.last_index > snap_last_index_) {
-    sm_.restore(snap.data);
-    snap_data_ = snap.data;
+    sm_.restore(snap.snap.state);
+    snap_ = snap.snap;
     snap_last_index_ = snap.last_index;
     snap_last_term_ = snap.last_term;
     log_.clear();

@@ -17,7 +17,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -27,14 +26,22 @@
 
 namespace daosim::raft {
 
-/// Replicated state machine interface. Commands and snapshots are opaque
-/// byte strings; apply() must be deterministic.
+/// An immutable copy of a state machine's state, plus its modelled size on
+/// the wire (InstallSnapshot).
+struct Snapshot {
+  net::Body state;  // empty = the initial state
+  std::uint64_t wire_bytes = 0;
+};
+
+/// Replicated state machine interface. Commands, replies and snapshots are
+/// typed values in net::Body, as every RPC body is; apply() must be
+/// deterministic.
 class StateMachine {
  public:
   virtual ~StateMachine() = default;
-  virtual std::string apply(const std::string& command) = 0;
-  virtual std::string snapshot() const = 0;
-  virtual void restore(const std::string& snapshot) = 0;
+  virtual net::Body apply(const net::Body& command) = 0;
+  virtual Snapshot snapshot() const = 0;
+  virtual void restore(const net::Body& state) = 0;
 };
 
 struct RaftConfig {
@@ -47,13 +54,14 @@ struct RaftConfig {
 
 struct LogEntry {
   std::uint64_t term = 0;
-  std::string command;  // empty = no-op barrier entry
+  net::Body command;  // empty = no-op barrier entry
+  std::uint64_t wire_bytes = 0;
 };
 
 /// Outcome of RaftNode::submit.
 struct SubmitResult {
   Errno status = Errno::ok;
-  std::string response;                        // state machine output when ok
+  net::Body response;                          // state machine output when ok
   std::optional<net::NodeId> leader_hint{};    // populated on Errno::again
 };
 
@@ -81,9 +89,10 @@ class RaftNode {
   /// Recovers from stable storage and rejoins.
   void restart();
 
-  /// Replicates `command`; completes once it is committed and applied on this
-  /// leader. Non-leaders fail fast with Errno::again plus a leader hint.
-  sim::CoTask<SubmitResult> submit(std::string command);
+  /// Replicates `command` (charged `wire_bytes` per AppendEntries); completes
+  /// once it is committed and applied on this leader. Non-leaders fail fast
+  /// with Errno::again plus a leader hint.
+  sim::CoTask<SubmitResult> submit(net::Body command, std::uint64_t wire_bytes);
 
   bool is_leader() const { return role_ == Role::leader && running_; }
   bool running() const { return running_; }
@@ -107,7 +116,7 @@ class RaftNode {
     explicit Waiter(sim::Scheduler& s) : done(s) {}
     sim::Event done;
     std::uint64_t term = 0;
-    std::string response;
+    net::Body response;
     bool failed = false;
   };
 
@@ -141,7 +150,7 @@ class RaftNode {
     net::NodeId leader;
     std::uint64_t last_index;
     std::uint64_t last_term;
-    std::string data;
+    Snapshot snap;
   };
   struct SnapResp {
     std::uint64_t term;
@@ -185,7 +194,7 @@ class RaftNode {
   std::deque<LogEntry> log_;  // log_[i] has 1-based index snap_last_index_+1+i
   std::uint64_t snap_last_index_ = 0;
   std::uint64_t snap_last_term_ = 0;
-  std::string snap_data_;
+  Snapshot snap_;
 
   // Volatile state.
   bool running_ = false;

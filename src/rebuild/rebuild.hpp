@@ -96,7 +96,7 @@ class RebuildService {
   std::set<std::uint32_t> completed_;  // task versions fully applied locally
   /// Resync marks: (eviction map version, in-engine target, container) ->
   /// the container's epoch when the eviction was first scanned. A later
-  /// pool_reint resync only copies records newer than the mark (epoch diff,
+  /// PoolReint resync only copies records newer than the mark (epoch diff,
   /// not full copy). Epoch clocks are per-(target, container), so marks are
   /// recorded exactly where they are later consumed.
   std::map<std::tuple<std::uint32_t, std::uint32_t, vos::Uuid>, vos::Epoch> marks_;

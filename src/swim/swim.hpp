@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "pool/command.hpp"
 #include "sim/random.hpp"
 
 namespace daosim::swim {
@@ -49,7 +50,7 @@ class SwimService {
   /// @param members    every engine's fabric node, in engine-index order —
   ///                   identical on all engines, so tree shape and witness
   ///                   choice agree everywhere
-  /// @param svc_nodes  pool-service replica nodes (for pool_evict submission)
+  /// @param svc_nodes  pool-service replica nodes (for PoolEvict submission)
   SwimService(engine::Engine& eng, std::uint32_t index, std::vector<net::NodeId> members,
               std::vector<net::NodeId> svc_nodes, SwimConfig cfg, std::uint64_t seed);
   SwimService(const SwimService&) = delete;
@@ -99,7 +100,7 @@ class SwimService {
   sim::CoTask<void> probe_loop();
   sim::CoTask<void> probe_once();
   sim::CoTask<void> sweep_suspects();
-  /// Submits `pool_evict` for member `m` with bounded attempts; marks
+  /// Submits `PoolEvict` for member `m` with bounded attempts; marks
   /// evict_tried so one death declaration yields at most one submission
   /// campaign (a partitioned minority must not replay stale verdicts after
   /// the partition heals — refutation revives the member instead).
@@ -130,8 +131,7 @@ class SwimService {
   sim::Scheduler& sched_;
   std::uint32_t index_;
   std::vector<net::NodeId> members_;
-  std::vector<net::NodeId> svc_nodes_;
-  std::optional<net::NodeId> svc_hint_;  // last pool-service leader that answered
+  pool::SvcRoute svc_;
   SwimConfig cfg_;
   sim::Xoshiro256 rng_;
   std::vector<Member> state_;  // parallel to members_

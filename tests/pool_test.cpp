@@ -3,10 +3,13 @@
 // behaviour across service-replica fail-over.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <set>
+#include <variant>
+#include <vector>
 
 #include "co_assert.hpp"
 #include "cluster/testbed.hpp"
+#include "sim/random.hpp"
 
 namespace daosim::pool {
 namespace {
@@ -16,84 +19,138 @@ using cluster::kPoolUuid;
 using cluster::Testbed;
 using sim::CoTask;
 
+/// A successful reply carrying `body`.
+Reply ok(ReplyBody body = {}) { return {Errno::ok, std::move(body)}; }
+Reply err(Errno e) { return {e, {}}; }
+
 TEST(PoolMetaSm, ContainerLifecycleCommands) {
   PoolMetaSm sm;
-  EXPECT_EQ(sm.apply("cont_create 7 8 1048576 2"), "ok");
-  EXPECT_EQ(sm.apply("cont_create 7 8 1048576 2"), "EEXIST");
-  EXPECT_EQ(sm.apply("cont_open 7 8"), "ok 1048576 2");
-  EXPECT_EQ(sm.apply("cont_open 9 9"), "ENOENT");
-  EXPECT_EQ(sm.apply("cont_destroy 7 8"), "ok");
-  EXPECT_EQ(sm.apply("cont_destroy 7 8"), "ENOENT");
-  EXPECT_EQ(sm.apply("bogus"), "EINVAL");
+  EXPECT_EQ(sm.apply(ContCreate{{7, 8}, {1048576, 2}}), ok());
+  EXPECT_EQ(sm.apply(ContCreate{{7, 8}, {1048576, 2}}), err(Errno::exists));
+  EXPECT_EQ(sm.apply(ContOpen{{7, 8}}), ok(ContProps{1048576, 2}));
+  EXPECT_EQ(sm.apply(ContOpen{{9, 9}}), err(Errno::no_entry));
+  EXPECT_EQ(sm.apply(ContDestroy{{7, 8}}), ok());
+  EXPECT_EQ(sm.apply(ContDestroy{{7, 8}}), err(Errno::no_entry));
+  // An unknown command cannot be built: the variant is the whole protocol.
+  static_assert(std::variant_size_v<Command> == 12);
 }
 
 TEST(PoolMetaSm, OidAllocationAdvances) {
   PoolMetaSm sm;
-  sm.apply("cont_create 1 1 1048576 0");
-  EXPECT_EQ(sm.apply("alloc_oids 1 1 100"), "ok 1");
-  EXPECT_EQ(sm.apply("alloc_oids 1 1 50"), "ok 101");
-  EXPECT_EQ(sm.apply("alloc_oids 9 9 10"), "ENOENT");
+  EXPECT_EQ(sm.apply(ContCreate{{1, 1}, {1048576, 0}}), ok());
+  EXPECT_EQ(sm.apply(AllocOids{{1, 1}, 100}), ok(OidBase{1}));
+  EXPECT_EQ(sm.apply(AllocOids{{1, 1}, 50}), ok(OidBase{101}));
+  EXPECT_EQ(sm.apply(AllocOids{{9, 9}, 10}), err(Errno::no_entry));
 }
 
 TEST(PoolMetaSm, SnapshotRoundTrip) {
   PoolMetaSm sm;
-  sm.apply("cont_create 1 2 4096 1");
-  sm.apply("cont_create 3 4 1048576 5");
-  sm.apply("alloc_oids 1 2 500");
-  const std::string snap = sm.snapshot();
+  EXPECT_EQ(sm.apply(ContCreate{{1, 2}, {4096, 1}}), ok());
+  EXPECT_EQ(sm.apply(ContCreate{{3, 4}, {1048576, 5}}), ok());
+  EXPECT_EQ(sm.apply(AllocOids{{1, 2}, 500}), ok(OidBase{1}));
+  const raft::Snapshot snap = sm.snapshot();
 
   PoolMetaSm restored;
-  restored.restore(snap);
-  EXPECT_EQ(restored.apply("cont_open 1 2"), "ok 4096 1");
-  EXPECT_EQ(restored.apply("cont_open 3 4"), "ok 1048576 5");
+  restored.restore(snap.state);
+  EXPECT_EQ(restored.apply(ContOpen{{1, 2}}), ok(ContProps{4096, 1}));
+  EXPECT_EQ(restored.apply(ContOpen{{3, 4}}), ok(ContProps{1048576, 5}));
   // The OID cursor survives: next range continues after 1..500.
-  EXPECT_EQ(restored.apply("alloc_oids 1 2 1"), "ok 501");
+  EXPECT_EQ(restored.apply(AllocOids{{1, 2}, 1}), ok(OidBase{501}));
   EXPECT_EQ(restored.containers().size(), 2u);
 }
 
-TEST(PoolMetaSm, ParseSnapListReplies) {
-  auto none = parse_snap_list("ok 0");
-  ASSERT_TRUE(none.ok());
-  EXPECT_TRUE(none->empty());
-  auto two = parse_snap_list("ok 2 3 9");
-  ASSERT_TRUE(two.ok());
-  EXPECT_EQ(*two, (std::vector<vos::Epoch>{3, 9}));
-  EXPECT_EQ(parse_snap_list("ENOENT").error(), Errno::no_entry);
-  // A short, overlong or non-numeric list is an error, never zero epochs.
-  EXPECT_EQ(parse_snap_list("ok 2 5").error(), Errno::io);
-  EXPECT_EQ(parse_snap_list("ok 1 5 6").error(), Errno::io);
-  EXPECT_EQ(parse_snap_list("ok 1 x").error(), Errno::io);
-  EXPECT_EQ(parse_snap_list("ok 1 -5").error(), Errno::io);
-  EXPECT_EQ(parse_snap_list("ok").error(), Errno::io);
-  EXPECT_EQ(parse_snap_list("").error(), Errno::io);
-  EXPECT_EQ(parse_snap_list("EINVAL").error(), Errno::io);
-  // The state machine's own reply round-trips.
+TEST(PoolMetaSm, SnapListReplies) {
   PoolMetaSm sm;
-  sm.apply("cont_create 1 2 4096 1");
-  sm.apply("snap_create 1 2 40");
-  sm.apply("snap_create 1 2 7");
-  auto listed = parse_snap_list(sm.apply("snap_list 1 2"));
-  ASSERT_TRUE(listed.ok());
-  EXPECT_EQ(*listed, (std::vector<vos::Epoch>{7, 40}));
+  EXPECT_EQ(sm.apply(ContCreate{{1, 2}, {4096, 1}}), ok());
+  EXPECT_EQ(sm.apply(SnapList{{1, 2}}), ok(SnapEpochs{}));
+  EXPECT_EQ(sm.apply(SnapCreate{{1, 2}, 40}), ok());
+  EXPECT_EQ(sm.apply(SnapCreate{{1, 2}, 7}), ok());
+  EXPECT_EQ(sm.apply(SnapList{{1, 2}}), ok(SnapEpochs{{7, 40}}));
+  // An unknown container is no_entry, through the caller-side fold too, and
+  // never an empty (unconstrained) snapshot list.
+  const Reply missing = sm.apply(SnapList{{9, 9}});
+  EXPECT_EQ(missing, err(Errno::no_entry));
+  EXPECT_EQ(reply_as<SnapEpochs>(Result<Reply>(missing)).error(), Errno::no_entry);
+  EXPECT_EQ(reply_as<SnapEpochs>(Result<Reply>(Errno::timed_out)).error(), Errno::timed_out);
+  EXPECT_EQ(sm.apply(SnapDestroy{{1, 2}, 8}), err(Errno::no_entry));
+  EXPECT_EQ(sm.apply(SnapDestroy{{1, 2}, 7}), ok());
+  EXPECT_EQ(reply_as<SnapEpochs>(Result<Reply>(sm.apply(SnapList{{1, 2}})))->epochs,
+            (std::vector<vos::Epoch>{40}));
 }
 
 TEST(PoolMetaSm, RestoreFromEmptyResets) {
   PoolMetaSm sm;
-  sm.apply("cont_create 1 1 4096 0");
-  sm.restore("");
+  EXPECT_EQ(sm.apply(ContCreate{{1, 1}, {4096, 0}}), ok());
+  sm.restore(net::Body{});
   EXPECT_EQ(sm.containers().size(), 0u);
 }
 
 TEST(PoolMetaSm, ListContainers) {
   PoolMetaSm sm;
-  sm.apply("cont_create 1 1 4096 0");
-  sm.apply("cont_create 2 2 4096 0");
-  std::istringstream is(sm.apply("list_conts"));
-  std::string ok;
-  std::size_t n = 0;
-  is >> ok >> n;
-  EXPECT_EQ(ok, "ok");
-  EXPECT_EQ(n, 2u);
+  EXPECT_EQ(sm.apply(ContCreate{{1, 1}, {4096, 0}}), ok());
+  EXPECT_EQ(sm.apply(ContCreate{{2, 2}, {4096, 0}}), ok());
+  const Reply listed = sm.apply(ListConts{});
+  EXPECT_EQ(listed.status, Errno::ok);
+  EXPECT_EQ(std::get<ContList>(listed.body).conts.size(), 2u);
+}
+
+/// One random command over a small id space, so commands collide: creates
+/// hit existing containers, snapshots hit missing ones, evictions repeat.
+Command random_command(sim::Xoshiro256& rng) {
+  const vos::Uuid cont{rng.uniform(3), rng.uniform(3)};
+  const auto engine = net::NodeId(1 + rng.uniform(5));  // 5 is not in the roster
+  switch (rng.uniform(12)) {
+    case 0: return ContCreate{cont, {4096u << rng.uniform(4), std::uint8_t(rng.uniform(4))}};
+    case 1: return ContOpen{cont};
+    case 2: return ContDestroy{cont};
+    case 3: return AllocOids{cont, rng.uniform(100)};
+    case 4: return ListConts{};
+    case 5: return PoolEvict{engine};
+    case 6: return PoolReint{engine};
+    case 7: return MapQuery{};
+    case 8: return RebuildDone{engine, std::uint32_t(1 + rng.uniform(12))};
+    case 9: return SnapCreate{cont, rng.uniform(50)};
+    case 10: return SnapDestroy{cont, rng.uniform(50)};
+    default: return SnapList{cont};
+  }
+}
+
+// Property: replicas that apply the same command sequence agree on every
+// reply and on their whole state, however often they pass through
+// snapshot() -> restore() on the way.
+TEST(PoolMetaSm, SnapshotRestoreRoundTripsPreserveState) {
+  constexpr int kReplicas = 4;
+  const std::set<net::NodeId> roster{1, 2, 3, 4};
+  for (const std::uint64_t seed : {1, 2, 3, 5, 8, 13, 21, 34}) {
+    sim::Xoshiro256 rng(seed);
+    PoolMetaSm reference;  // never snapshots
+    reference.set_engines(roster);
+    std::vector<PoolMetaSm> replicas(kReplicas);
+    for (auto& r : replicas) r.set_engines(roster);
+    std::size_t round_trips = 0;
+    for (int step = 0; step < 400; ++step) {
+      const Command cmd = random_command(rng);
+      const Reply want = reference.apply(cmd);
+      for (std::size_t i = 0; i < replicas.size(); ++i) {
+        // Replica 0 never snapshots either; the others at random points,
+        // each into a fresh state machine.
+        if (i > 0 && rng.uniform(8) == 0) {
+          PoolMetaSm fresh;
+          fresh.set_engines(roster);
+          fresh.restore(replicas[i].snapshot().state);
+          replicas[i] = std::move(fresh);
+          ++round_trips;
+        }
+        ASSERT_EQ(replicas[i].apply(cmd), want)
+            << "seed " << seed << " step " << step << " replica " << i;
+      }
+    }
+    EXPECT_GT(round_trips, 100u) << "seed " << seed;
+    EXPECT_GT(reference.rebuild_tasks().size(), 0u) << "seed " << seed;
+    for (std::size_t i = 0; i < replicas.size(); ++i) {
+      EXPECT_TRUE(replicas[i].state() == reference.state()) << "seed " << seed << " replica " << i;
+    }
+  }
 }
 
 TEST(PoolService, MetadataSurvivesLeaderFailover) {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "raft/raft.hpp"
@@ -17,40 +17,32 @@ using sim::Time;
 /// Deterministic state machine: an append-only journal with a running hash.
 class Journal : public StateMachine {
  public:
-  std::string apply(const std::string& cmd) override {
+  struct State {
+    std::vector<std::string> entries;
+    std::uint64_t hash = 14695981039346656037ULL;
+  };
+
+  net::Body apply(const net::Body& command) override {
+    const auto& cmd = command.get<std::string>();
     entries.push_back(cmd);
     hash = hash * 1099511628211ULL + std::hash<std::string>{}(cmd);
-    return strfmt("applied#%zu:%s", entries.size(), cmd.c_str());
+    return net::Body::make(strfmt("applied#%zu:%s", entries.size(), cmd.c_str()));
   }
-  std::string snapshot() const override {
-    std::ostringstream os;
-    os << hash << '\n' << entries.size() << '\n';
-    for (const auto& e : entries) os << e.size() << ':' << e;
-    return os.str();
+  Snapshot snapshot() const override {
+    return {net::Body::make(State{entries, hash}), entries.size() * 16};
   }
-  void restore(const std::string& snap) override {
-    entries.clear();
-    hash = 14695981039346656037ULL;
-    if (snap.empty()) return;
-    std::istringstream is(snap);
-    std::size_t n = 0;
-    char nl;
-    is >> hash >> n;
-    is.get(nl);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::size_t len;
-      char colon;
-      is >> len;
-      is.get(colon);
-      std::string s(len, '\0');
-      is.read(s.data(), std::streamsize(len));
-      entries.push_back(std::move(s));
-    }
+  void restore(const net::Body& snap) override {
+    const State s = snap.has_value() ? snap.get<State>() : State{};
+    entries = s.entries;
+    hash = s.hash;
   }
 
   std::vector<std::string> entries;
   std::uint64_t hash = 14695981039346656037ULL;
 };
+
+/// A journal command as a log-entry body, charged its length on the wire.
+net::Body cmd_body(const std::string& cmd) { return net::Body::make(cmd); }
 
 struct Cluster {
   explicit Cluster(std::size_t n, std::uint64_t seed = 42, RaftConfig cfg = {}) : fabric(sched) {
@@ -104,9 +96,9 @@ struct Cluster {
       if (leader == nullptr) continue;
       bool finished = false;
       sched.spawn([&, leader]() -> CoTask<void> {
-        SubmitResult r = co_await leader->submit(cmd);
+        SubmitResult r = co_await leader->submit(cmd_body(cmd), cmd.size());
         if (r.status == Errno::ok) {
-          out = r.response;
+          out = r.response.get<std::string>();
           done = true;
         }
         finished = true;
@@ -181,7 +173,7 @@ TEST(Raft, SubmitToFollowerRedirects) {
   SubmitResult res;
   bool finished = false;
   c.sched.spawn([&]() -> CoTask<void> {
-    res = co_await follower->submit("x");
+    res = co_await follower->submit(cmd_body("x"), 1);
     finished = true;
   });
   c.settle(100 * sim::kMs);
@@ -255,7 +247,7 @@ TEST(Raft, MinorityPartitionCannotCommit) {
   SubmitResult res;
   bool finished = false;
   c.sched.spawn([&]() -> CoTask<void> {
-    res = co_await leader->submit("lost");
+    res = co_await leader->submit(cmd_body("lost"), 4);
     finished = true;
   });
   c.settle(2 * sim::kSec);
@@ -285,7 +277,7 @@ TEST(Raft, DivergentLogIsRepaired) {
   }
   bool hang_finished = false;
   c.sched.spawn([&]() -> CoTask<void> {
-    (void)co_await old_leader->submit("orphan-1");
+    (void)co_await old_leader->submit(cmd_body("orphan-1"), 8);
     hang_finished = true;
   });
   c.settle(300 * sim::kMs);

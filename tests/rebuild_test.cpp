@@ -140,12 +140,15 @@ TEST(GroupPlacement, SurvivorsNeverMoveUnderExclusion) {
 // ---------------------------------------------------------------------------
 // Rebuild-task state machine (Raft-replicated pool metadata)
 
+pool::Reply map_version_reply(std::uint32_t v) { return {Errno::ok, pool::MapVersion{v}}; }
+pool::Reply done_reply(pool::DoneOutcome d) { return {Errno::ok, d}; }
+
 TEST(RebuildSm, EvictionCreatesTaskAndDoneIsGuarded) {
   pool::PoolMetaSm sm;
   sm.set_engines({10, 11, 12, 13});
   EXPECT_EQ(sm.map_version(), 1u);
 
-  EXPECT_EQ(sm.apply("pool_evict 11"), "ok 2");
+  EXPECT_EQ(sm.apply(pool::PoolEvict{11}), map_version_reply(2));
   ASSERT_EQ(sm.rebuild_tasks().size(), 1u);
   const auto* task = sm.rebuild_task(2);
   ASSERT_NE(task, nullptr);
@@ -156,18 +159,18 @@ TEST(RebuildSm, EvictionCreatesTaskAndDoneIsGuarded) {
   EXPECT_EQ(sm.rebuilds_incomplete(), 1u);
 
   // Idempotent eviction: same version, no second task.
-  EXPECT_EQ(sm.apply("pool_evict 11"), "ok 2");
+  EXPECT_EQ(sm.apply(pool::PoolEvict{11}), map_version_reply(2));
   EXPECT_EQ(sm.rebuild_tasks().size(), 1u);
 
   // Duplicate and stale reports are absorbed, not double-counted.
-  EXPECT_EQ(sm.apply("rebuild_done 10 2"), "ok");
-  EXPECT_EQ(sm.apply("rebuild_done 10 2"), "ok dup");
-  EXPECT_EQ(sm.apply("rebuild_done 10 7"), "ok stale");
+  EXPECT_EQ(sm.apply(pool::RebuildDone{10, 2}), done_reply(pool::DoneOutcome::counted));
+  EXPECT_EQ(sm.apply(pool::RebuildDone{10, 2}), done_reply(pool::DoneOutcome::dup));
+  EXPECT_EQ(sm.apply(pool::RebuildDone{10, 7}), done_reply(pool::DoneOutcome::stale));
   EXPECT_EQ(task->done.size(), 1u);
 
-  EXPECT_EQ(sm.apply("rebuild_done 12 2"), "ok");
+  EXPECT_EQ(sm.apply(pool::RebuildDone{12, 2}), done_reply(pool::DoneOutcome::counted));
   EXPECT_FALSE(task->complete());
-  EXPECT_EQ(sm.apply("rebuild_done 13 2"), "ok");
+  EXPECT_EQ(sm.apply(pool::RebuildDone{13, 2}), done_reply(pool::DoneOutcome::counted));
   EXPECT_TRUE(task->complete());
   EXPECT_EQ(sm.rebuilds_incomplete(), 0u);
 }
@@ -176,21 +179,21 @@ TEST(RebuildSm, NewerMapChangeSupersedesAndReintResyncs) {
   pool::PoolMetaSm sm;
   sm.set_engines({1, 2, 3, 4});
 
-  EXPECT_EQ(sm.apply("pool_evict 3"), "ok 2");
-  EXPECT_EQ(sm.apply("pool_evict 4"), "ok 3");
+  EXPECT_EQ(sm.apply(pool::PoolEvict{3}), map_version_reply(2));
+  EXPECT_EQ(sm.apply(pool::PoolEvict{4}), map_version_reply(3));
   // The v2 scan is invalidated by the newer map; v3 covers its work.
   EXPECT_TRUE(sm.rebuild_task(2)->superseded);
   EXPECT_TRUE(sm.rebuild_task(2)->complete());
   ASSERT_TRUE(sm.newest_incomplete_rebuild().has_value());
   EXPECT_EQ(*sm.newest_incomplete_rebuild(), 3u);
 
-  EXPECT_EQ(sm.apply("rebuild_done 1 3"), "ok");
-  EXPECT_EQ(sm.apply("rebuild_done 2 3"), "ok");
+  EXPECT_EQ(sm.apply(pool::RebuildDone{1, 3}), done_reply(pool::DoneOutcome::counted));
+  EXPECT_EQ(sm.apply(pool::RebuildDone{2, 3}), done_reply(pool::DoneOutcome::counted));
   EXPECT_EQ(sm.rebuilds_incomplete(), 0u);
 
   // Reintegration starts a resync task remembering the eviction's version,
   // so participants copy only the epoch window the engine missed.
-  EXPECT_EQ(sm.apply("pool_reint 3"), "ok 4");
+  EXPECT_EQ(sm.apply(pool::PoolReint{3}), map_version_reply(4));
   const auto* resync = sm.rebuild_task(4);
   ASSERT_NE(resync, nullptr);
   EXPECT_TRUE(resync->resync);
@@ -203,12 +206,12 @@ TEST(RebuildSm, NewerMapChangeSupersedesAndReintResyncs) {
 TEST(RebuildSm, EvictionRequeuesSupersededResync) {
   pool::PoolMetaSm sm;
   sm.set_engines({1, 2, 3, 4});
-  EXPECT_EQ(sm.apply("pool_evict 3"), "ok 2");
-  EXPECT_EQ(sm.apply("rebuild_done 1 2"), "ok");
-  EXPECT_EQ(sm.apply("rebuild_done 2 2"), "ok");
-  EXPECT_EQ(sm.apply("rebuild_done 4 2"), "ok");
+  EXPECT_EQ(sm.apply(pool::PoolEvict{3}), map_version_reply(2));
+  EXPECT_EQ(sm.apply(pool::RebuildDone{1, 2}), done_reply(pool::DoneOutcome::counted));
+  EXPECT_EQ(sm.apply(pool::RebuildDone{2, 2}), done_reply(pool::DoneOutcome::counted));
+  EXPECT_EQ(sm.apply(pool::RebuildDone{4, 2}), done_reply(pool::DoneOutcome::counted));
   EXPECT_EQ(sm.rebuilds_incomplete(), 0u);
-  EXPECT_EQ(sm.apply("pool_reint 3"), "ok 3");
+  EXPECT_EQ(sm.apply(pool::PoolReint{3}), map_version_reply(3));
   ASSERT_NE(sm.rebuild_task(3), nullptr);
   EXPECT_TRUE(sm.rebuild_task(3)->resync);
 
@@ -216,7 +219,7 @@ TEST(RebuildSm, EvictionRequeuesSupersededResync) {
   // its work: the eviction scan covers re-replication for the new exclusion
   // set, not engine 3's window diff. The resync is re-queued at a fresh map
   // version — hence "ok 5", one bump for the eviction, one for the re-queue.
-  EXPECT_EQ(sm.apply("pool_evict 4"), "ok 5");
+  EXPECT_EQ(sm.apply(pool::PoolEvict{4}), map_version_reply(5));
   EXPECT_TRUE(sm.rebuild_task(3)->superseded);
   const auto* repair = sm.rebuild_task(4);
   ASSERT_NE(repair, nullptr);
@@ -232,23 +235,23 @@ TEST(RebuildSm, EvictionRequeuesSupersededResync) {
 
   // Re-evicting the resyncing engine itself drops its resync for good: the
   // eviction rebuild restores its replicas from the survivors instead.
-  EXPECT_EQ(sm.apply("pool_evict 3"), "ok 6");
+  EXPECT_EQ(sm.apply(pool::PoolEvict{3}), map_version_reply(6));
   EXPECT_EQ(sm.incomplete_rebuilds(), (std::vector<std::uint32_t>{6}));
 }
 
 TEST(RebuildSm, ReintRequeuesSupersededEvictionRepair) {
   pool::PoolMetaSm sm;
   sm.set_engines({1, 2, 3, 4});
-  EXPECT_EQ(sm.apply("pool_evict 3"), "ok 2");
+  EXPECT_EQ(sm.apply(pool::PoolEvict{3}), map_version_reply(2));
   // A second eviction's scan runs against the full exclusion set, so the
   // superseded v2 task needs no re-queue.
-  EXPECT_EQ(sm.apply("pool_evict 4"), "ok 3");
+  EXPECT_EQ(sm.apply(pool::PoolEvict{4}), map_version_reply(3));
   EXPECT_EQ(sm.incomplete_rebuilds(), (std::vector<std::uint32_t>{3}));
 
   // Reintegrating 3 supersedes the v3 repair, but a resync scan does not
   // re-replicate data for engine 4 (still excluded): the repair is re-queued
   // against the new map alongside the resync task.
-  EXPECT_EQ(sm.apply("pool_reint 3"), "ok 5");
+  EXPECT_EQ(sm.apply(pool::PoolReint{3}), map_version_reply(5));
   const auto* resync = sm.rebuild_task(4);
   ASSERT_NE(resync, nullptr);
   EXPECT_TRUE(resync->resync);
@@ -262,25 +265,26 @@ TEST(RebuildSm, ReintRequeuesSupersededEvictionRepair) {
   EXPECT_EQ(sm.incomplete_rebuilds(), (std::vector<std::uint32_t>{4, 5}));
 
   // A new leader restoring a snapshot resumes both re-queued tasks.
-  const std::string snap = sm.snapshot();
+  const raft::Snapshot snap = sm.snapshot();
   pool::PoolMetaSm fresh;
   fresh.set_engines({1, 2, 3, 4});
-  fresh.restore(snap);
+  fresh.restore(snap.state);
   EXPECT_EQ(fresh.incomplete_rebuilds(), (std::vector<std::uint32_t>{4, 5}));
-  EXPECT_EQ(fresh.snapshot(), snap);
+  EXPECT_TRUE(fresh.snapshot().state.get<pool::PoolMetaSm::State>() ==
+              snap.state.get<pool::PoolMetaSm::State>());
 }
 
 TEST(RebuildSm, SnapshotRoundTripsRebuildState) {
   pool::PoolMetaSm sm;
   sm.set_engines({1, 2, 3, 4});
-  EXPECT_EQ(sm.apply("cont_create 9 9 1048576 5"), "ok");
-  EXPECT_EQ(sm.apply("pool_evict 2"), "ok 2");
-  EXPECT_EQ(sm.apply("rebuild_done 1 2"), "ok");
+  EXPECT_EQ(sm.apply(pool::ContCreate{{9, 9}, {1048576, 5}}), pool::Reply{});
+  EXPECT_EQ(sm.apply(pool::PoolEvict{2}), map_version_reply(2));
+  EXPECT_EQ(sm.apply(pool::RebuildDone{1, 2}), done_reply(pool::DoneOutcome::counted));
 
-  const std::string snap = sm.snapshot();
+  const raft::Snapshot snap = sm.snapshot();
   pool::PoolMetaSm fresh;
   fresh.set_engines({1, 2, 3, 4});
-  fresh.restore(snap);
+  fresh.restore(snap.state);
 
   EXPECT_EQ(fresh.map_version(), 2u);
   EXPECT_TRUE(fresh.excluded_engines().contains(2u));
@@ -290,8 +294,9 @@ TEST(RebuildSm, SnapshotRoundTripsRebuildState) {
   EXPECT_EQ(task->done, (std::set<net::NodeId>{1}));
   EXPECT_FALSE(task->complete());
   // A leader restoring this snapshot resumes where the old one stopped.
-  EXPECT_EQ(fresh.apply("rebuild_done 1 2"), "ok dup");
-  EXPECT_EQ(fresh.snapshot(), snap);
+  EXPECT_EQ(fresh.apply(pool::RebuildDone{1, 2}), done_reply(pool::DoneOutcome::dup));
+  EXPECT_TRUE(fresh.snapshot().state.get<pool::PoolMetaSm::State>() ==
+              snap.state.get<pool::PoolMetaSm::State>());
 }
 
 // ---------------------------------------------------------------------------

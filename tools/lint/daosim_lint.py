@@ -29,8 +29,9 @@ coroutine-heavy C++ codebases:
                       wrappers (call_with_deadline / call_retry / call_target)
                       so every RPC gets a deadline, bounded retries, and the
                       eviction path; a raw call hangs forever on a dead node.
-  rebuild-idempotency A dispatch on the "rebuild_done" command whose handler
-                      body has no duplicate-apply guard (set insert(..).second,
+  rebuild-idempotency A handler of the typed RebuildDone command (a function
+                      or lambda taking `const RebuildDone&`) whose body has no
+                      duplicate-apply guard (set insert(..).second,
                       .count(, or .contains(). rebuild_done reports are retried
                       on lost replies and re-driven tasks, so an unguarded
                       handler double-counts the reporting engine and declares
@@ -50,8 +51,8 @@ coroutine-heavy C++ codebases:
                       per (target, replica), bounded by
                       ClientConfig::max_batch_extents.
 
-  direct-map-query    The pool-service "map_query" command issued from a
-                      src/client/ file other than client/refresh.cpp. The
+  direct-map-query    A construction of the pool-service MapQuery command in
+                      a src/client/ file other than client/refresh.cpp. The
                       point query hits the pool-service leader — O(clients)
                       leader load per membership change. Clients learn map
                       versions passively from stamped replies and pull deltas
@@ -495,48 +496,30 @@ def check_raw_rpc_call(path, text, clean):
     return out
 
 
-# The dispatch literal lives in the RAW text (string literals are blanked in
-# `clean`), but structure scanning and the guard search use `clean` so that a
-# comment merely mentioning ".contains(" never counts as a guard. Offsets are
-# aligned: blanking preserves positions.
-REBUILD_DISPATCH_RE = re.compile(r'==\s*"rebuild_done"')
+# A handler of the typed command: a function or lambda whose parameter list is
+# exactly one `const RebuildDone&` (optionally namespace-qualified), followed
+# by its body. Matched in `clean`, so comments and strings never count, and a
+# comment merely mentioning ".contains(" never counts as a guard.
+REBUILD_HANDLER_RE = re.compile(
+    r"\(\s*const\s+(?:\w+\s*::\s*)*RebuildDone\s*&\s*\w*\s*\)[^;{}]*\{")
 REBUILD_GUARD_RE = re.compile(
     r"\.\s*insert\s*\([^;]*?\)\s*\.\s*second|\.\s*count\s*\(|\.\s*contains\s*\(")
 
 
 def check_rebuild_idempotency(path, text, clean):
-    """A `== "rebuild_done"` dispatch must guard its handler body against
-    duplicate application: reports are retried on lost replies and re-driven
-    tasks, so the same (engine, version) reaches the handler more than once."""
+    """A RebuildDone handler must guard its body against duplicate
+    application: reports are retried on lost replies and re-driven tasks, so
+    the same (engine, version) reaches the handler more than once."""
     out = []
-    n = len(clean)
-    for m in REBUILD_DISPATCH_RE.finditer(text):
-        # Find the close of the enclosing if-condition: we are nested one
-        # paren deep. Bail to a fixed window if the comparison turns out not
-        # to sit inside parens (e.g. assigned to a flag dispatched elsewhere).
-        pos, depth = m.end(), 1
-        while pos < n and depth > 0 and clean[pos] not in ";{":
-            if clean[pos] == "(":
-                depth += 1
-            elif clean[pos] == ")":
-                depth -= 1
-            pos += 1
-        if depth == 0:
-            while pos < n and clean[pos].isspace():
-                pos += 1
-            if pos < n and clean[pos] == "{":
-                body = clean[pos : skip_balanced(clean, pos, "{", "}")]
-            else:
-                body = clean[pos : clean.find(";", pos) + 1]
-        else:
-            body = clean[m.end() : m.end() + 600]
+    for m in REBUILD_HANDLER_RE.finditer(clean):
+        body = clean[m.end() - 1 : skip_balanced(clean, m.end() - 1, "{", "}")]
         if not REBUILD_GUARD_RE.search(body):
             out.append(
                 Violation(
                     path,
-                    line_of(text, m.start()),
+                    line_of(clean, m.start()),
                     "rebuild-idempotency",
-                    'the "rebuild_done" handler has no duplicate-apply guard: '
+                    "the RebuildDone handler has no duplicate-apply guard: "
                     "retried reports double-count the engine; record done-set "
                     "membership via insert(..).second / count() / contains()",
                 )
@@ -611,12 +594,15 @@ def check_untracked_metric(path, text, clean):
     return out
 
 
-# The "map_query" string literal itself, matched in the RAW text (string
-# literals are blanked in `clean`): the command only exists to be sent to the
-# pool service, so quoting it in client code IS issuing the point query.
-# Unquoted mentions in comments stay free. Shares the raw-rpc-call scope
+# Any construction of the MapQuery command (`MapQuery{}`, `MapQuery()`, a
+# declared variable, or emplace<MapQuery>/in_place_type<MapQuery>; not the
+# struct's own definition), matched in `clean` so comment mentions stay free:
+# the command only exists to be sent to the pool service, so building it in
+# client code IS issuing the point query. Shares the raw-rpc-call scope
 # (src/client/); the refresh module owns the sanctioned fallback.
-MAP_QUERY_RE = re.compile(r'"map_query')
+MAP_QUERY_RE = re.compile(
+    r"(?<!struct )(?<!class )\bMapQuery\b\s*(?:const\s+)?(?:\{|\(|[A-Za-z_]\w*\s*[;{=(])"
+    r"|\b(?:emplace|in_place_type)\s*<\s*(?:\w+\s*::\s*)*MapQuery\s*>")
 MAP_QUERY_EXEMPT_SUFFIX = "client/refresh.cpp"
 
 
@@ -624,13 +610,13 @@ def check_direct_map_query(path, text, clean):
     if path.replace(os.sep, "/").endswith(MAP_QUERY_EXEMPT_SUFFIX):
         return []
     out = []
-    for m in MAP_QUERY_RE.finditer(text):
+    for m in MAP_QUERY_RE.finditer(clean):
         out.append(
             Violation(
                 path,
-                line_of(text, m.start()),
+                line_of(clean, m.start()),
                 "direct-map-query",
-                "pool-map point query outside client/refresh.cpp: map_query "
+                "pool-map point query outside client/refresh.cpp: MapQuery "
                 "hits the pool-service leader (O(clients) load per membership "
                 "change); rely on the IV piggyback + delta fetch, or call "
                 "refresh_pool_map() if the authoritative fallback is required",
