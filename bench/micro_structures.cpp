@@ -9,6 +9,7 @@
 #include "sim/bandwidth.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/sync.hpp"
 #include "vos/btree.hpp"
 #include "vos/value_store.hpp"
 
@@ -152,6 +153,30 @@ void BM_SchedulerEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(std::int64_t(state.iterations()) * 1000);
 }
 BENCHMARK(BM_SchedulerEventThroughput);
+
+// Same-time dispatch: 256 processes park on one Event, the set() wakes them
+// all at one instant, then each yields 1000 times. Every event here is
+// scheduled for the current time, unlike BM_SchedulerEventThroughput's
+// distinct times.
+void BM_SchedulerSameTimeResume(benchmark::State& state) {
+  constexpr int kProcs = 256;
+  constexpr int kYields = 1000;
+  for (auto _ : state) {
+    sim::Scheduler s;
+    sim::Event go(s);
+    for (int p = 0; p < kProcs; ++p) {
+      s.spawn([&s, &go]() -> sim::CoTask<void> {
+        co_await go.wait();
+        for (int i = 0; i < kYields; ++i) co_await s.yield();
+      });
+    }
+    s.schedule_callback(1, [&go] { go.set(); });
+    s.run();
+    benchmark::DoNotOptimize(s.events_processed());
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()) * kProcs * (kYields + 2));
+}
+BENCHMARK(BM_SchedulerSameTimeResume);
 
 void BM_SharedBandwidthFairShare(benchmark::State& state) {
   const int flows = int(state.range(0));

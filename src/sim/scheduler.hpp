@@ -1,6 +1,7 @@
-// The discrete-event scheduler: a priority queue of (time, sequence) ordered
-// events driving coroutine resumptions and plain callbacks under a virtual
-// clock. Single-threaded and fully deterministic.
+// The discrete-event scheduler: (time, sequence) ordered events driving
+// coroutine resumptions and plain callbacks under a virtual clock. Events for
+// the current instant wait in a FIFO ready lane; only future events go through
+// the binary heap. Single-threaded and fully deterministic.
 #pragma once
 
 #include <concepts>
@@ -8,11 +9,11 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
-#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "sim/co_task.hpp"
 #include "sim/time.hpp"
 
@@ -62,13 +63,26 @@ class SpanSink {
 };
 
 /// Handle to a cancellable callback timer (see Scheduler::schedule_callback).
+/// The timer's state is shared, by a plain reference count, between every
+/// handle copy and the scheduler's queue entry; whichever lets go last frees
+/// it, so a handle may outlive its scheduler.
 class Timer {
  public:
   Timer() = default;
+  Timer(const Timer& o) : state_(o.state_) {
+    if (state_) ++state_->refs;
+  }
+  Timer(Timer&& o) noexcept : state_(std::exchange(o.state_, nullptr)) {}
+  Timer& operator=(Timer o) noexcept {
+    std::swap(state_, o.state_);
+    return *this;
+  }
+  ~Timer() { release(state_); }
+
   /// Cancels the timer; a cancelled timer's callback never fires.
   void cancel() {
     if (state_) state_->cancelled = true;
-    state_.reset();
+    release(std::exchange(state_, nullptr));
   }
   bool armed() const { return state_ && !state_->cancelled && !state_->fired; }
 
@@ -76,11 +90,16 @@ class Timer {
   friend class Scheduler;
   struct State {
     std::function<void()> fn;
+    std::uint32_t refs = 1;
     bool cancelled = false;
     bool fired = false;
   };
-  explicit Timer(std::shared_ptr<State> s) : state_(std::move(s)) {}
-  std::shared_ptr<State> state_;
+  static_assert(alignof(State) >= 2, "queue entries tag State pointers in their low bit");
+  static void release(State* s) noexcept {
+    if (s && --s->refs == 0) delete s;
+  }
+  explicit Timer(State* s) : state_(s) {}
+  State* state_ = nullptr;
 };
 
 class Scheduler {
@@ -91,14 +110,18 @@ class Scheduler {
   /// Destroys the frames of detached processes still suspended at teardown
   /// (e.g. blocked forever after a deadlock, or parked beyond the horizon of
   /// the last run_until). Each root frame owns its CoTask chain, so this
-  /// unwinds whole processes.
+  /// unwinds whole processes. Then releases every timer still queued.
   ~Scheduler();
 
   Time now() const { return now_; }
 
   /// Resumes `h` at virtual time `at` (>= now). Events with equal time fire
   /// in scheduling order.
-  void schedule(Time at, std::coroutine_handle<> h);
+  void schedule(Time at, std::coroutine_handle<> h) {
+    const auto frame = reinterpret_cast<std::uintptr_t>(h.address());
+    DAOSIM_REQUIRE((frame & kTimerTag) == 0, "coroutine frame %p is not 2-aligned", h.address());
+    push(at, frame);
+  }
 
   /// Runs `fn` at virtual time `at` unless the returned Timer is cancelled.
   Timer schedule_callback(Time at, std::function<void()> fn);
@@ -201,20 +224,55 @@ class Scheduler {
     co_await f();
   }
 
+  /// A queue entry: 24 bytes. `ptr` is a coroutine frame address, or a
+  /// Timer::State* with its low bit set; both are at least 2-aligned.
   struct Item {
     Time at;
     std::uint64_t seq;
-    std::coroutine_handle<> h;            // exactly one of h / cb is set
-    std::shared_ptr<Timer::State> cb;
+    std::uintptr_t ptr;
     bool operator>(const Item& o) const {
       return at != o.at ? at > o.at : seq > o.seq;
     }
+  };
+  static_assert(sizeof(Item) == 24);
+  static constexpr std::uintptr_t kTimerTag = 1;
+
+  /// The ready lane: a FIFO ring of events scheduled for the current instant.
+  /// It only grows, so a steady state allocates nothing.
+  class Ring {
+   public:
+    bool empty() const { return size_ == 0; }
+    void push_back(const Item& it) {
+      if (size_ == buf_.size()) grow();
+      buf_[(head_ + size_++) & (buf_.size() - 1)] = it;
+    }
+    Item pop_front() {
+      const Item it = buf_[head_];
+      head_ = (head_ + 1) & (buf_.size() - 1);
+      --size_;
+      return it;
+    }
+
+   private:
+    void grow();
+    std::vector<Item> buf_;  // capacity is zero or a power of two
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
   };
 
   /// What a dispatched event did, folded into the trace digest.
   enum class EventKind : std::uint8_t { resume = 0, callback = 1, cancelled = 2 };
 
-  void dispatch(Item& it);
+  void push(Time at, std::uintptr_t ptr) {
+    if (at == now_) {
+      ready_.push_back(Item{at, seq_++, ptr});
+    } else {
+      push_later(at, ptr);
+    }
+  }
+  void push_later(Time at, std::uintptr_t ptr);
+  bool pop_next(Time limit, Item& out);
+  void dispatch(const Item& it);
   void finish_run();
   void fold_trace(std::uint64_t v) {
     // FNV-1a over the value's 8 little-endian bytes.
@@ -224,13 +282,15 @@ class Scheduler {
     }
   }
 
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> queue_;
+  Ring ready_;              // events at now_, in seq order
+  std::vector<Item> heap_;  // later events (or at now_, pushed earlier); min-heap
   Time now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t events_ = 0;
   std::size_t live_ = 0;
   std::uint64_t trace_hash_ = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
   std::uint64_t next_span_id_ = 0;
+  Item last_{0, 0, 0};  // last dispatched event, for the DAOSIM_AUDIT order check
   std::vector<std::exception_ptr> errors_;
   std::vector<std::coroutine_handle<Detached::promise_type>> detached_;
   SpanSink* span_sink_ = nullptr;

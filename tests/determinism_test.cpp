@@ -158,6 +158,33 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(tp.param) ? "_easy" : "_hard");
     });
 
+// DeterminismAudit compares two runs of one build; this pins the event order
+// across versions. A change that reorders, adds or drops a dispatched event
+// moves these literals. One that does so on purpose updates them and says why
+// in CHANGES.md; any other move is a regression in the scheduler or above it.
+TEST(DeterminismGolden, EventOrderIsPinned) {
+  struct Pinned {
+    Api api;
+    bool fpp;
+    std::uint64_t trace_hash;
+    std::uint64_t events;
+  };
+  const Pinned pinned[] = {
+      {Api::dfs, true, 0xfe15718fda4dc808ULL, 8209},
+      {Api::dfs, false, 0x4c6234ca64524ae4ULL, 8387},
+      {Api::mpiio, true, 0xc9196874cfa38d97ULL, 8582},
+      {Api::mpiio, false, 0xe735c08698498d1aULL, 8388},
+      {Api::hdf5, true, 0xaff1dc618c68e7dfULL, 12780},
+      {Api::hdf5, false, 0xd4230a2b919069d9ULL, 11992},
+  };
+  for (const Pinned& p : pinned) {
+    const RunDigest d = run_scenario(p.api, p.fpp);
+    EXPECT_EQ(d.trace_hash, p.trace_hash)
+        << to_string(p.api) << (p.fpp ? " easy" : " hard") << ": event order moved";
+    EXPECT_EQ(d.events, p.events) << to_string(p.api) << (p.fpp ? " easy" : " hard");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Rebuild determinism: crash -> eviction -> scan -> throttled pulls ->
 // rebuild_done all run through the scheduler, so a seeded crash + rebuild +

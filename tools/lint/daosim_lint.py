@@ -334,6 +334,9 @@ def check_unordered_iteration(path, text, clean):
 
 # A function returning Result<T> directly or asynchronously (CoTask<Result<T>>).
 RESULT_FN_DECL_RE = re.compile(r"\bResult\s*<[^;{}()]*>\s+(\w+)\s*\(")
+# A return type that is (or wraps) a Result: `Result<T>`, `CoTask<Result<T>>`.
+# A type that merely contains the word, such as `SubmitResult`, is not one.
+RESULT_TYPE_RE = re.compile(r"\bResult\s*<")
 # Any function-shaped declaration: return-type tokens, optional class
 # qualifiers, name, open paren. Used to find names that are ALSO declared with
 # a non-Result return type — such ambiguous names are dropped from the rule,
@@ -358,7 +361,7 @@ def scan_decls(clean, result_names, other_names):
         first_tok = re.match(r"[A-Za-z_][\w]*", ret)
         if first_tok and first_tok.group(0) in DECL_KEYWORDS:
             continue
-        if "Result" not in ret:
+        if not RESULT_TYPE_RE.search(ret):
             other_names.add(name)
 
 

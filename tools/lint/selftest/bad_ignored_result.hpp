@@ -64,4 +64,25 @@ inline void receiver_cases() {
   }
 }
 
+// A name declared with a Result and with a non-Result return type is
+// ambiguous, so the rule drops it. `SubmitResult` only contains the word: a
+// `CoTask<SubmitResult>` return is not a Result.
+struct SubmitResult {};
+template <typename T>
+class CoTask {};
+Result<int> submit(int n);
+struct Node {
+  CoTask<SubmitResult> submit(int term, int n);
+};
+Result<int> settle(int n);
+
+inline void ambiguous_cases(Node& node) {
+  // GOOD: `submit` is ambiguous by name, so neither call is judged.
+  submit(1);
+  (void)node.submit(2, 3);
+
+  // BAD: `settle` is only ever a Result.
+  settle(4);  // EXPECT-LINT: ignored-result
+}
+
 }  // namespace fixture
